@@ -26,6 +26,7 @@ from .constructions import (
     unique_sabotage,
 )
 from .core import (
+    AuditError,
     InconsistentStateError,
     KnowledgeState,
     LimitExceeded,
@@ -52,19 +53,19 @@ from .games import (
     GameSolution,
     WorstcaseSolution,
     best_response,
-    sabotage_measures,
     solve_expected_game,
     solve_worstcase_depth,
 )
 from .harness import ENGINE_VERSION, MeasureContext, MeasureError, parse_measure
 from .lp import LinearProgram, LPSolution, check_feasible, solve_lp
 from .registry import REGISTRY, TheoremCheck, UnknownCheckError, run_checks
-from .trees import Leaf, Node, tree_cost, tree_depth, tree_output, tree_to_obj, walk
+from .trees import Leaf, Node, tree_depth, tree_to_obj, walk
 
 __version__ = ENGINE_VERSION
 
 __all__ = [
     "ENGINE_VERSION",
+    "AuditError",
     "ConstructionError",
     "GameSolution",
     "InconsistentStateError",
@@ -111,14 +112,11 @@ __all__ = [
     "repeat_cost",
     "run_checks",
     "sabotage",
-    "sabotage_measures",
     "sensitive_blocks",
     "solve_expected_game",
     "solve_lp",
     "solve_worstcase_depth",
-    "tree_cost",
     "tree_depth",
-    "tree_output",
     "tree_to_obj",
     "unique_sabotage",
     "walk",

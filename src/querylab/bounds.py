@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from math import ceil, comb, log
 
+from .core import AuditError
 from .rational import as_rat, floor_rat, rat, to_fraction
 
 
@@ -53,7 +54,8 @@ def amplification_repetitions(eps, target):
     odd_ceiling = ceil(bound)
     if odd_ceiling % 2 == 0:
         odd_ceiling += 1
-    assert runs <= odd_ceiling, "exact count exceeded the advisory bound"
+    if runs > odd_ceiling:
+        raise AuditError("exact count exceeded the advisory bound")
     return bound, runs
 
 

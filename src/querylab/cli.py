@@ -3,8 +3,11 @@
 Subcommands: measure, verify, scan, construct, bounds.  All values are
 printed as exact rationals ("num/den", or a bare integer when the
 denominator is one).  Exit codes: 0 success, 1 verification found a failing
-check, 2 malformed input (bad literal, unknown measure or check id), 3 a
-size limit was exceeded, 4 an output or cache path was not writable.
+check, 2 malformed input (bad literal, unknown measure or check id, scan
+--jobs below 1), 3 a size limit or a simplex pivot or column-generation cap
+was exceeded, 4 an output or cache path was not writable, 5 an exact
+self-check of a result failed (AuditError; an engine bug).  scan --jobs N
+starts at most min(N, CPU count, number of functions) worker processes.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from .constructions import (
     sabotage,
     unique_sabotage,
 )
-from .core import LimitExceeded, ParseError, enumerate_functions, parse_function
+from .core import (
+    AuditError,
+    LimitExceeded,
+    ParseError,
+    enumerate_functions,
+    parse_function,
+)
 from .harness import ENGINE_VERSION, MeasureContext, MeasureError, parse_measure
 from .rational import rat_from_str, rat_str, to_fraction
 from .registry import REGISTRY, UnknownCheckError, run_checks
@@ -248,20 +257,28 @@ def _scan_worker(payload):
     return ctx.report(parse_function(literal), specs)
 
 
+def _worker_count(jobs, n_functions):
+    """Worker processes for a scan: never more than the CPUs or the functions."""
+    return min(jobs, os.cpu_count() or 1, n_functions)
+
+
 def _cmd_scan(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     ctx = _context(args)
     specs = _split_specs(args.measures)
     literals = [
         f.encoding()
         for f in enumerate_functions(args.family, args.limit_arity)
     ]
-    if args.jobs > 1:
+    workers = _worker_count(args.jobs, len(literals))
+    if workers > 1:
         payloads = [
             (lit, tuple(specs), args.cache_dir, args.limit_arity,
              args.domain_cap, args.eps)
             for lit in literals
         ]
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             reports = list(pool.map(_scan_worker, payloads))
     else:
         reports = [ctx.report(parse_function(lit), specs) for lit in literals]
@@ -403,9 +420,15 @@ def main(argv=None):
     except LimitExceeded as exc:
         print(f"qlab: limit exceeded: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"qlab: engine stopped: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"qlab: io error: {exc}", file=sys.stderr)
         return 4
+    except AuditError as exc:
+        print(f"qlab: audit failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -50,6 +50,13 @@ class LimitExceeded(RuntimeError):
     """A family or measure request is over the configured size limit."""
 
 
+class AuditError(AssertionError):
+    """An exact self-check of a result failed: an engine bug, never bad input.
+
+    Raised explicitly, so the checks also run under python -O.
+    """
+
+
 def input_sort_key(x):
     """Sort key realizing the symbol order 0 < 1 < * < +."""
     return tuple(SYMBOL_RANK[c] for c in x)
@@ -122,10 +129,6 @@ class QueryFunction:
         if self._encoding is None:
             self._encoding = canonical_encoding(self)
         return self._encoding
-
-
-def evaluate(f, x):
-    return f(x)
 
 
 def canonical_encoding(f):

@@ -1,30 +1,105 @@
-"""Worst-case deterministic measures: tree depth, certificates, block sensitivity.
+"""Worst-case deterministic measures, and the split search behind every tree.
 
-det_complexity is a memoized minimax over knowledge states, keyed by the set
-of still-consistent domain inputs: two states with the same consistent set
-have the same continuation value, and querying a position on which the set
-agrees is never useful, so positions that fail to split the set are skipped.
+_split_search is the one memoized search for optimal decision trees, used by
+det_complexity here and by games.best_response.  A state is the set of
+domain inputs still consistent with the answers seen so far, held as an int
+bitmask of domain indices: two states with the same set (and the same depth
+budget left) have the same continuation value, and querying a position on
+which the set agrees is never useful, so positions that fail to split the
+set are skipped.  A set whose inputs share one label is a leaf of cost 0.
+Any other set is priced by two caller rules: the leaf rule, the cost and
+label of stopping there anyway (or forbidden), and the combine rule, the
+cost of querying a position from the values of the parts it splits the set
+into.  det_complexity combines by 1 + max and forbids erring leaves; a best
+response adds the set's query weight to the sum of the parts.  A part with
+infinite value rules its query out.  Ties keep the leaf, then the lowest
+position; children follow the alphabet's symbol order.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import inf
 
+from .core import AuditError
 from .lp import LinearProgram, solve_lp
 from .rational import to_fraction
 from .trees import Leaf, Node
 
 
-def _branch_masks(f):
-    """For each position and symbol, the set of domain indices showing it."""
+def _members(s):
+    """Domain indices in the bitmask s, lowest first."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def _split_search(f, leaf_rule, combine, depth_budget=None):
+    """Cheapest tree over f's nonempty domain; returns (cost, tree).
+
+    leaf_rule(s) gives (cost, label) for stopping on a set s whose labels
+    disagree, or is None to forbid that.  combine(s, values) gives the cost
+    of a query splitting s into parts of these values.  depth_budget, when
+    given, caps the depth.  The tree is None when the cost is infinite.
+    """
     dom = f.domain
-    masks = []
+    labels = [f.table[x] for x in dom]
+    label_masks = {}
+    for k, label in enumerate(labels):
+        label_masks[label] = label_masks.get(label, 0) | 1 << k
+    branches = []
     for i in range(f.arity):
         per = {}
-        for idx, x in enumerate(dom):
-            per.setdefault(x[i], set()).add(idx)
-        masks.append({a: frozenset(s) for a, s in per.items()})
-    return masks
+        for k, x in enumerate(dom):
+            per[x[i]] = per.get(x[i], 0) | 1 << k
+        branches.append([(a, per[a]) for a in f.alphabet if a in per])
+    memo = {}
+
+    def value(s, budget):
+        key = (s, budget)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        label = labels[(s & -s).bit_length() - 1]
+        if s & label_masks[label] == s:
+            best = (0, None, label)
+        else:
+            cost, label = (inf, None) if leaf_rule is None else leaf_rule(s)
+            best = (cost, None, label)
+        if best[0] != 0 and budget != 0:
+            next_budget = None if budget is None else budget - 1
+            for i, pairs in enumerate(branches):
+                parts = [s & mask for _, mask in pairs if s & mask]
+                if len(parts) < 2:
+                    continue
+                values = []
+                for part in parts:
+                    sub = value(part, next_budget)[0]
+                    if sub == inf:
+                        break
+                    values.append(sub)
+                else:
+                    cost = combine(s, values)
+                    if cost < best[0]:
+                        best = (cost, i, None)
+        memo[key] = best
+        return best
+
+    def build(s, budget):
+        _, position, label = memo[(s, budget)]
+        if position is None:
+            return Leaf(label)
+        next_budget = None if budget is None else budget - 1
+        children = {}
+        for a, mask in branches[position]:
+            if s & mask:
+                children[a] = build(s & mask, next_budget)
+        return Node(position, children)
+
+    full = (1 << len(dom)) - 1
+    cost = value(full, depth_budget)[0]
+    return cost, None if cost == inf else build(full, depth_budget)
 
 
 def det_complexity(f, with_tree=False):
@@ -33,62 +108,10 @@ def det_complexity(f, with_tree=False):
     Empty domain costs 0.  With with_tree=True also returns an optimal tree
     (lowest splitting position first on ties), or None for the empty domain.
     """
-    dom = f.domain
-    if not dom:
+    if not f.domain:
         return (0, None) if with_tree else 0
-    labels = [f.table[x] for x in dom]
-    masks = _branch_masks(f)
-    alphabet = f.alphabet
-    memo = {}
-
-    def value(s):
-        got = memo.get(s)
-        if got is not None:
-            return got
-        first = labels[next(iter(s))]
-        if all(labels[i] == first for i in s):
-            memo[s] = (0, None)
-            return memo[s]
-        best = None
-        best_pos = None
-        for i in range(f.arity):
-            parts = []
-            for a in alphabet:
-                mask = masks[i].get(a)
-                if mask is None:
-                    continue
-                part = s & mask
-                if part:
-                    parts.append(part)
-            if len(parts) < 2:
-                continue
-            worst = 1 + max(value(p)[0] for p in parts)
-            if best is None or worst < best:
-                best, best_pos = worst, i
-        memo[s] = (best, best_pos)
-        return memo[s]
-
-    full = frozenset(range(len(dom)))
-    depth, _ = value(full)
-
-    if not with_tree:
-        return depth
-
-    def build(s):
-        _, pos = memo[s]
-        if pos is None:
-            return Leaf(labels[next(iter(s))])
-        children = {}
-        for a in alphabet:
-            mask = masks[pos].get(a)
-            if mask is None:
-                continue
-            part = s & mask
-            if part:
-                children[a] = build(part)
-        return Node(pos, children)
-
-    return depth, build(full)
+    depth, tree = _split_search(f, None, lambda s, values: 1 + max(values))
+    return (depth, tree) if with_tree else depth
 
 
 def _certifies(f, x, positions):
@@ -189,7 +212,8 @@ def fractional_block_sensitivity(f):
         for i in range(f.arity):
             rows.append(([1 if i in b else 0 for b in blocks], "<=", 1))
         sol = solve_lp(LinearProgram("max", [1] * len(blocks), rows))
-        assert sol.status == "optimal"
+        if sol.status != "optimal":
+            raise AuditError(f"block-packing LP at {x!r} is {sol.status}")
         per_input[x] = to_fraction(sol.objective)
     overall = max(per_input.values(), default=to_fraction(0))
     return overall, per_input

@@ -1,21 +1,32 @@
 """Randomized query games solved exactly by column generation.
 
-A randomized algorithm is a mixture of deterministic trees.  Its expected
-cost against the worst input is the value of a zero-sum game; we solve the
-adversary's LP over a growing set of trees (cut form: one row per tree) and
-price new trees with a memoized best-response dynamic program, terminating
-when the best response cannot beat the current LP value.  Both computations
-are exact rationals, so the termination test is an exact comparison and the
-returned value is the true optimum, not an approximation.
+A randomized algorithm is a mixture of deterministic trees.  Its cost
+against the worst input is the value of a zero-sum game, and both games here
+go through one column-generation loop, _solve_game.  The loop solves the
+adversary's LP over a growing set of trees: variables are a distribution
+alpha on the domain, optional penalized extras and the value nu, with one
+cut row per tree saying the tree pays at least nu against alpha.  It prices
+a new tree with best_response, the split search of det.py under weighted
+query costs and errors, and stops when the best response cannot beat nu.
+The optimal mixture of trees is read from the duals of the tree rows.  All
+of it is exact rational arithmetic, so the termination test is an exact
+comparison and the value returned is the true optimum, not an
+approximation.
+
+Each solver supplies only its tree column, its pricing call and its audit:
 
 solve_expected_game(f, eps) minimizes worst-case *expected* queries subject
 to per-input error at most eps (eps=0: erring leaves are forbidden outright).
+A tree's column is its query counts, followed by its error indicators when
+eps > 0, which buy the adversary's error penalties.
 solve_worstcase_depth(f, eps) finds the smallest depth budget under which a
-mixture keeps every input's error at or below eps.
+mixture keeps every input's error at or below eps.  At each depth a tree's
+column is its error indicators, and pricing respects the depth budget.
 
 Every solve carries an audit trail of exact cross-checks: the LP's own
 primal/dual verification, the mixture rebuilt from the duals achieving the
-value exactly, and the final best response certifying no tree beats it.
+value exactly, and the final best response certifying no tree beats it.  A
+failed check raises AuditError.
 """
 
 from __future__ import annotations
@@ -23,22 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .core import QueryFunction
+from .core import AuditError
+from .det import _members, _split_search
 from .lp import LinearProgram, solve_lp
 from .rational import ZERO, as_rat, rat, to_fraction
-from .trees import Leaf, Node, tree_depth, walk
+from .trees import Leaf, tree_depth, walk
 
 _MAX_COLUMNS = 100000
-
-
-def _domain_masks(f, dom):
-    masks = []
-    for i in range(f.arity):
-        per = {}
-        for idx, x in enumerate(dom):
-            per.setdefault(x[i], set()).add(idx)
-        masks.append({a: frozenset(s) for a, s in per.items()})
-    return masks
 
 
 def best_response(f, cost_weights, error_weights=None, depth_budget=None):
@@ -53,91 +55,37 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
     dom = f.domain
     if not dom:
         return Leaf("0"), to_fraction(0)
-    labels = [f.table[x] for x in dom]
-    label_menu = f.labels()
     alpha = [as_rat(cost_weights.get(x, 0)) for x in dom]
-    if error_weights is None:
-        beta = None
-    else:
+    leaf_rule = None
+    if error_weights is not None:
+        labels = [f.table[x] for x in dom]
+        label_menu = f.labels()
         beta = []
         for x in dom:
             w = error_weights.get(x, 0)
             beta.append(w if w == inf else as_rat(w))
-    masks = _domain_masks(f, dom)
-    alphabet = f.alphabet
-    memo = {}
 
-    def leaf_choice(s):
-        first = labels[next(iter(s))]
-        if all(labels[i] == first for i in s):
-            return ZERO, first
-        if beta is None:
-            return inf, None
-        best_cost, best_label = None, None
-        for candidate in label_menu:
-            cost = ZERO
-            for i in s:
-                if labels[i] != candidate:
-                    if beta[i] == inf:
-                        cost = inf
-                        break
-                    cost = cost + beta[i]
-            if best_cost is None or cost < best_cost:
-                best_cost, best_label = cost, candidate
-        return best_cost, best_label
+        def leaf_rule(s):
+            best = None
+            for candidate in label_menu:
+                cost = ZERO
+                for i in _members(s):
+                    if labels[i] != candidate:
+                        if beta[i] == inf:
+                            cost = inf
+                            break
+                        cost = cost + beta[i]
+                if best is None or cost < best[0]:
+                    best = (cost, candidate)
+            return best
 
-    def value(s, budget):
-        key = (s, budget)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        leaf_cost, leaf_label = leaf_choice(s)
-        best = (leaf_cost, "leaf", leaf_label)
-        if leaf_cost != 0 and budget != 0:
-            next_budget = None if budget is None else budget - 1
-            for i in range(f.arity):
-                parts = []
-                for a in alphabet:
-                    mask = masks[i].get(a)
-                    if mask is None:
-                        continue
-                    part = s & mask
-                    if part:
-                        parts.append(part)
-                if len(parts) < 2:
-                    continue
-                cost = sum((alpha[j] for j in s), ZERO)
-                for part in parts:
-                    sub = value(part, next_budget)[0]
-                    if sub == inf:
-                        cost = inf
-                        break
-                    cost = cost + sub
-                if cost < best[0]:
-                    best = (cost, "query", i)
-        memo[key] = best
-        return best
+    def combine(s, values):
+        return sum((alpha[i] for i in _members(s)), ZERO) + sum(values)
 
-    def build(s, budget):
-        _, kind, detail = memo[(s, budget)]
-        if kind == "leaf":
-            return Leaf(detail)
-        next_budget = None if budget is None else budget - 1
-        children = {}
-        for a in alphabet:
-            mask = masks[detail].get(a)
-            if mask is None:
-                continue
-            part = s & mask
-            if part:
-                children[a] = build(part, next_budget)
-        return Node(detail, children)
-
-    full = frozenset(range(len(dom)))
-    objective, _, _ = value(full, depth_budget)
+    objective, tree = _split_search(f, leaf_rule, combine, depth_budget)
     if objective == inf:
         raise RuntimeError("no admissible tree exists for these weights")
-    return build(full, depth_budget), objective
+    return tree, objective
 
 
 @dataclass
@@ -169,100 +117,104 @@ def _vectors_for(f, dom, tree):
     return cost_vec, err_vec
 
 
-def solve_expected_game(f, eps):
-    """Minimum worst-case expected query count at per-input error <= eps."""
-    eps = as_rat(eps)
-    if not 0 <= eps < rat(1, 2):
-        raise ValueError(f"error budget must lie in [0, 1/2), got {eps}")
+def _solve_game(f, eps, penalties, column, price, seed, audit):
+    """Column generation over trees, from the seed tree to an audited solution.
+
+    The LP maximizes nu - penalties . extras over (alpha, extras, nu) with
+    sum(alpha) = 1 and one row column(cost_vec, err_vec) . (alpha, extras)
+    >= nu per tree.  price(x) returns the best response (tree, objective) to
+    the LP point x.  audit(lp_solution, response, game) returns the audit
+    flags of the finished game, given the final best response's objective;
+    all of them must hold.
+    """
     dom = f.domain
-    if not dom:
-        raise ValueError("the game needs a nonempty domain")
     m = len(dom)
-    zero_error = eps == 0
-
+    objective = [0] * m + penalties + [1]
+    first_row = ([1] * m + [0] * (len(penalties) + 1), "=", 1)
     trees = []
-
-    def add_tree(tree):
-        cost_vec, err_vec = _vectors_for(f, dom, tree)
-        trees.append((tree, cost_vec, err_vec))
-
-    uniform = {x: rat(1, m) for x in dom}
-    seed, _ = best_response(f, uniform, None)
-    add_tree(seed)
-
+    tree = seed
     while True:
+        trees.append((tree, *_vectors_for(f, dom, tree)))
         if len(trees) > _MAX_COLUMNS:
             raise RuntimeError("column generation did not terminate")
-        if zero_error:
-            objective = [0] * m + [1]
-            rows = [([1] * m + [0], "=", 1)]
-            for _, cost_vec, _ in trees:
-                rows.append((cost_vec + [-1], ">=", 0))
-        else:
-            objective = [0] * m + [-eps] * m + [1]
-            rows = [([1] * m + [0] * m + [0], "=", 1)]
-            for _, cost_vec, err_vec in trees:
-                rows.append((cost_vec + err_vec + [-1], ">=", 0))
+        rows = [first_row]
+        for _, cost_vec, err_vec in trees:
+            rows.append((column(cost_vec, err_vec) + [-1], ">=", 0))
         sol = solve_lp(LinearProgram("max", objective, rows))
-        assert sol.status == "optimal"
-        alpha = sol.x[:m]
-        beta = None if zero_error else sol.x[m : 2 * m]
-        nu = sol.x[-1]
-
-        costs = {dom[i]: alpha[i] for i in range(m)}
-        errors = None if zero_error else {dom[i]: beta[i] for i in range(m)}
-        tree, response = best_response(f, costs, errors)
-        if response >= nu:
+        if sol.status != "optimal":
+            raise AuditError(f"the adversary's LP is {sol.status}")
+        tree, response = price(sol.x)
+        if response >= sol.x[-1]:
             break
-        add_tree(tree)
 
-    value = sol.objective
-    assert sum(alpha, ZERO) == 1 and all(a >= 0 for a in alpha)
-
+    alpha = sol.x[:m]
+    if sum(alpha, ZERO) != 1 or any(a < 0 for a in alpha):
+        raise AuditError("the adversary's weights are not a distribution")
     # The mixture lives in the duals of the tree rows (normalized: the dual
     # may overshoot 1 in degenerate corners, which scaling only improves).
-    raw = [-sol.duals[1 + k] for k in range(len(trees))]
+    raw = [-y for y in sol.duals[1:]]
     total = sum(raw, ZERO)
-    assert total >= 1 and all(w >= 0 for w in raw)
-    weights = [w / total for w in raw]
-
-    expected_cost = {}
-    error = {}
+    if total < 1 or any(w < 0 for w in raw):
+        raise AuditError("the tree-row duals are not a mixture")
+    support = [(trees[k], w / total) for k, w in enumerate(raw) if w != 0]
+    expected_cost, error = {}, {}
     for i, x in enumerate(dom):
-        expected_cost[x] = sum(
-            (w * trees[k][1][i] for k, w in enumerate(weights)), ZERO
-        )
-        error[x] = sum((w * trees[k][2][i] for k, w in enumerate(weights)), ZERO)
+        expected_cost[x] = sum((w * t[1][i] for t, w in support), ZERO)
+        error[x] = sum((w * t[2][i] for t, w in support), ZERO)
 
-    max_cost = max(expected_cost.values())
-    max_error = max(error.values())
-    audit = {
-        "lp_verified": True,
-        "mixture_achieves_value": max_cost == value,
-        "mixture_error_within_budget": max_error <= eps,
-        "best_response_cannot_beat_value": response >= nu,
-        "adversary_certifies_value": nu - eps * sum(
-            (b for b in (beta or [ZERO])), ZERO
-        ) == value,
-    }
-    assert all(audit.values()), f"game audit failed: {audit}"
-
-    return GameSolution(
-        value=to_fraction(value),
+    game = GameSolution(
+        value=to_fraction(sol.objective),
         eps=to_fraction(eps),
         hard_distribution={
             dom[i]: to_fraction(alpha[i]) for i in range(m) if alpha[i] != 0
         },
-        support=[
-            (trees[k][0], to_fraction(w))
-            for k, w in enumerate(weights)
-            if w != 0
-        ],
+        support=[(t[0], to_fraction(w)) for t, w in support],
         expected_cost={x: to_fraction(v) for x, v in expected_cost.items()},
         error={x: to_fraction(v) for x, v in error.items()},
         iterations=len(trees),
-        audit=audit,
+        audit=None,
     )
+    game.audit = audit(sol, response, game)
+    if not all(game.audit.values()):
+        raise AuditError(f"game audit failed: {game.audit}")
+    return game
+
+
+def _check_game_args(f, eps):
+    eps = as_rat(eps)
+    if not 0 <= eps < rat(1, 2):
+        raise ValueError(f"error budget must lie in [0, 1/2), got {eps}")
+    if not f.domain:
+        raise ValueError("the game needs a nonempty domain")
+    return eps
+
+
+def solve_expected_game(f, eps):
+    """Minimum worst-case expected query count at per-input error <= eps."""
+    eps = _check_game_args(f, eps)
+    dom = f.domain
+    m = len(dom)
+    zero_error = eps == 0
+
+    def price(x):
+        errors = None if zero_error else dict(zip(dom, x[m : 2 * m]))
+        return best_response(f, dict(zip(dom, x[:m])), errors)
+
+    def audit(sol, response, game):
+        nu = sol.x[-1]
+        return {
+            "lp_verified": sol.verified,
+            "mixture_achieves_value": max(game.expected_cost.values()) == game.value,
+            "mixture_error_within_budget": max(game.error.values()) <= eps,
+            "best_response_cannot_beat_value": response >= nu,
+            "adversary_certifies_value": nu - eps * sum(sol.x[m:-1], ZERO)
+            == sol.objective,
+        }
+
+    seed, _ = best_response(f, {x: rat(1, m) for x in dom}, None)
+    if zero_error:
+        return _solve_game(f, eps, [], lambda c, e: c, price, seed, audit)
+    return _solve_game(f, eps, [-eps] * m, lambda c, e: c + e, price, seed, audit)
 
 
 @dataclass
@@ -280,94 +232,35 @@ class WorstcaseSolution:
 
 def solve_worstcase_depth(f, eps):
     """Minimum depth d such that some depth-<=d mixture errs at most eps everywhere."""
-    eps = as_rat(eps)
-    if not 0 <= eps < rat(1, 2):
-        raise ValueError(f"error budget must lie in [0, 1/2), got {eps}")
+    eps = _check_game_args(f, eps)
     dom = f.domain
-    if not dom:
-        raise ValueError("the game needs a nonempty domain")
     m = len(dom)
-    no_cost = {}
 
     for depth in range(f.arity + 1):
-        uniform = {x: rat(1, m) for x in dom}
-        trees = []
 
-        def add_tree(tree):
-            _, err_vec = _vectors_for(f, dom, tree)
-            trees.append((tree, err_vec))
+        def price(x):
+            return best_response(f, {}, dict(zip(dom, x[:m])), depth)
 
-        seed, _ = best_response(f, no_cost, uniform, depth)
-        add_tree(seed)
+        def audit(sol, response, game):
+            return {
+                "lp_verified": sol.verified,
+                "mixture_error_at_value": max(game.error.values()) == game.value,
+                "depth_budget_respected": all(
+                    tree_depth(tree) <= depth for tree, _ in game.support
+                ),
+                "best_response_cannot_beat_value": response >= sol.x[-1],
+            }
 
-        while True:
-            if len(trees) > _MAX_COLUMNS:
-                raise RuntimeError("column generation did not terminate")
-            rows = [([1] * m + [0], "=", 1)]
-            for _, err_vec in trees:
-                rows.append((err_vec + [-1], ">=", 0))
-            sol = solve_lp(LinearProgram("max", [0] * m + [1], rows))
-            assert sol.status == "optimal"
-            alpha = sol.x[:m]
-            nu = sol.x[-1]
-            weights_in = {dom[i]: alpha[i] for i in range(m)}
-            tree, response = best_response(f, no_cost, weights_in, depth)
-            if response >= nu:
-                break
-            add_tree(tree)
-
-        value = sol.objective
-        if value > eps:
-            continue
-
-        raw = [-sol.duals[1 + k] for k in range(len(trees))]
-        total = sum(raw, ZERO)
-        assert total >= 1 and all(w >= 0 for w in raw)
-        weights = [w / total for w in raw]
-        error = {}
-        for i, x in enumerate(dom):
-            error[x] = sum((w * trees[k][1][i] for k, w in enumerate(weights)), ZERO)
-        audit = {
-            "lp_verified": True,
-            "mixture_error_at_value": max(error.values()) == value,
-            "depth_budget_respected": all(
-                tree_depth(trees[k][0]) <= depth
-                for k in range(len(trees))
-                if weights[k] != 0
-            ),
-            "best_response_cannot_beat_value": response >= nu,
-        }
-        assert all(audit.values()), f"worst-case audit failed: {audit}"
-        return WorstcaseSolution(
-            depth=depth,
-            eps=to_fraction(eps),
-            error_value=to_fraction(value),
-            hard_distribution={
-                dom[i]: to_fraction(alpha[i]) for i in range(m) if alpha[i] != 0
-            },
-            support=[
-                (trees[k][0], to_fraction(w))
-                for k, w in enumerate(weights)
-                if w != 0
-            ],
-            error={x: to_fraction(v) for x, v in error.items()},
-            audit=audit,
-        )
-    raise AssertionError("querying every position always reaches error 0")
-
-
-def sabotage_measures(f):
-    """Deterministic and randomized costs of telling the saboteur's two marks apart.
-
-    Returns {"DS": int, "RS": Fraction, "RSu": Fraction}.  A function whose
-    sabotaged domain is empty (a constant, say) gets zeros across the board.
-    """
-    from .constructions import sabotage, unique_sabotage
-    from .det import det_complexity
-
-    sab = sabotage(f)
-    usab = unique_sabotage(f)
-    ds = det_complexity(sab)
-    rs = solve_expected_game(sab, 0).value if sab.domain else to_fraction(0)
-    rsu = solve_expected_game(usab, 0).value if usab.domain else to_fraction(0)
-    return {"DS": ds, "RS": rs, "RSu": rsu}
+        seed, _ = best_response(f, {}, {x: rat(1, m) for x in dom}, depth)
+        game = _solve_game(f, eps, [], lambda c, e: e, price, seed, audit)
+        if game.value <= eps:
+            return WorstcaseSolution(
+                depth=depth,
+                eps=game.eps,
+                error_value=game.value,
+                hard_distribution=game.hard_distribution,
+                support=game.support,
+                error=game.error,
+                audit=game.audit,
+            )
+    raise AuditError("querying every position always reaches error 0")

@@ -5,7 +5,8 @@ tolerance anywhere.  Pivoting uses Bland's rule, so the solver terminates on
 degenerate programs and is fully deterministic: identical input yields the
 identical basis, solution, and duals.  Every optimal solve re-checks primal
 feasibility, dual feasibility, complementary slackness, and strong duality
-before returning; a failure of any of these is a solver bug and raises.
+before returning; a failure of any of these is a solver bug and raises
+AuditError.
 
 Variables are nonnegative unless listed in free_vars.  Duals follow the
 standard sign conventions:
@@ -18,6 +19,7 @@ and satisfy objective == sum_i y_i * rhs_i exactly at optimum.
 
 from __future__ import annotations
 
+from .core import AuditError
 from .rational import ZERO, ONE, as_rat
 
 RELATIONS = ("<=", "=", ">=")
@@ -51,58 +53,77 @@ class LinearProgram:
 
 
 class LPSolution:
-    __slots__ = ("status", "x", "duals", "objective")
+    __slots__ = ("status", "x", "duals", "objective", "verified")
 
     def __init__(self, status, x=None, duals=None, objective=None):
         self.status = status
         self.x = x
         self.duals = duals
         self.objective = objective
+        self.verified = False
 
     def __repr__(self):
         return f"LPSolution(status={self.status!r}, objective={self.objective!r})"
 
     def verify(self, lp):
-        """Exact primal/dual feasibility, complementary slackness, strong duality."""
-        assert self.status == "optimal", "verify applies to optimal solutions"
+        """Exact primal/dual feasibility, complementary slackness, strong duality.
+
+        Returns True, or raises AuditError naming the first check that fails.
+        """
+        if self.status != "optimal":
+            raise AuditError("verify applies to optimal solutions")
         x, y = self.x, self.duals
-        assert len(x) == lp.n_vars and len(y) == len(lp.rows)
+        if len(x) != lp.n_vars or len(y) != len(lp.rows):
+            raise AuditError("solution length does not match the program")
         for j, xv in enumerate(x):
-            if j not in lp.free_vars:
-                assert xv >= 0, f"x[{j}] negative"
+            if j not in lp.free_vars and xv < 0:
+                raise AuditError(f"x[{j}] negative")
         mx = ONE if lp.sense == "min" else -ONE
         for i, (coeffs, rel, rhs) in enumerate(lp.rows):
             lhs = sum((a * xv for a, xv in zip(coeffs, x)), ZERO)
             if rel == "<=":
-                assert lhs <= rhs, f"row {i} violated"
-                assert mx * y[i] <= 0, f"dual sign on row {i}"
+                if lhs > rhs:
+                    raise AuditError(f"row {i} violated")
+                if mx * y[i] > 0:
+                    raise AuditError(f"dual sign on row {i}")
             elif rel == ">=":
-                assert lhs >= rhs, f"row {i} violated"
-                assert mx * y[i] >= 0, f"dual sign on row {i}"
-            else:
-                assert lhs == rhs, f"row {i} violated"
-            assert y[i] * (lhs - rhs) == 0, f"complementary slackness on row {i}"
+                if lhs < rhs:
+                    raise AuditError(f"row {i} violated")
+                if mx * y[i] < 0:
+                    raise AuditError(f"dual sign on row {i}")
+            elif lhs != rhs:
+                raise AuditError(f"row {i} violated")
+            if y[i] * (lhs - rhs) != 0:
+                raise AuditError(f"complementary slackness on row {i}")
         for j in range(lp.n_vars):
             reduced = lp.objective[j] - sum(
                 (lp.rows[i][0][j] * y[i] for i in range(len(lp.rows))), ZERO
             )
             if j in lp.free_vars:
-                assert reduced == 0, f"dual constraint on free var {j}"
-            else:
-                assert mx * reduced >= 0, f"dual constraint on var {j}"
-                assert x[j] * reduced == 0, f"complementary slackness on var {j}"
+                if reduced != 0:
+                    raise AuditError(f"dual constraint on free var {j}")
+            elif mx * reduced < 0:
+                raise AuditError(f"dual constraint on var {j}")
+            elif x[j] * reduced != 0:
+                raise AuditError(f"complementary slackness on var {j}")
         primal = sum((c * xv for c, xv in zip(lp.objective, x)), ZERO)
         dual = sum((y[i] * lp.rows[i][2] for i in range(len(lp.rows))), ZERO)
-        assert primal == dual, "strong duality failed"
-        assert primal == self.objective, "reported objective mismatch"
+        if primal != dual:
+            raise AuditError("strong duality failed")
+        if primal != self.objective:
+            raise AuditError("reported objective mismatch")
         return True
 
 
 def solve_lp(lp):
-    """Solve exactly; returns an LPSolution with status optimal/infeasible/unbounded."""
+    """Solve exactly; returns an LPSolution with status optimal/infeasible/unbounded.
+
+    An optimal solution has passed verify, which sets its verified flag.
+    """
     solution = _solve(lp, frozenset())
     if solution.status == "optimal":
         solution.verify(lp)
+        solution.verified = True
     return solution
 
 
@@ -276,8 +297,8 @@ class _Tableau:
         for j in self.artificials:
             costs[j] = ONE
         allowed = range(self.n_structural)
-        finished = self._run(costs, allowed)
-        assert finished, "phase 1 cannot be unbounded"
+        if not self._run(costs, allowed):
+            raise AuditError("phase 1 cannot be unbounded")
         value = sum(
             (costs[self.basis[k]] * self.x_b[k] for k in range(self.m)), ZERO
         )
@@ -305,7 +326,8 @@ class _Tableau:
                         for k in range(self.m)
                     ]
                     # basic artificial sits at zero, so this pivot is degenerate
-                    assert self.x_b[r] == 0
+                    if self.x_b[r] != 0:
+                        raise AuditError("basic artificial left at a nonzero value")
                     self._pivot(j, r, d, self.x_b[r] / d_r)
                     pivoted = True
                     break

@@ -27,16 +27,6 @@ class TheoremCheck:
     run: callable
 
 
-def _ok(lhs, rhs, relation):
-    if relation == "==":
-        return lhs == rhs
-    if relation == "<=":
-        return lhs <= rhs
-    if relation == ">=":
-        return lhs >= rhs
-    raise ValueError(relation)
-
-
 def _detail(**parts):
     rendered = {}
     for key, value in parts.items():

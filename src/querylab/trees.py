@@ -47,14 +47,6 @@ def walk(tree, x):
     return node.label, cost
 
 
-def tree_output(tree, x):
-    return walk(tree, x)[0]
-
-
-def tree_cost(tree, x):
-    return walk(tree, x)[1]
-
-
 def tree_depth(tree):
     if isinstance(tree, Leaf):
         return 0

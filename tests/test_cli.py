@@ -154,6 +154,51 @@ def test_scan_jobs_match_serial(capsys):
     assert serial == parallel
 
 
+def test_scan_jobs_below_one_exit_2(capsys):
+    for jobs in ("0", "-3"):
+        code, _, err = run(
+            capsys, "scan", "--family", "all-total:1", "--measures", "D",
+            "--jobs", jobs,
+        )
+        assert code == 2 and "--jobs" in err
+
+
+def test_worker_count_clamp():
+    # Only the helper runs: a pool of this size is never started.
+    from querylab.cli import _worker_count
+
+    cpus = os.cpu_count() or 1
+    assert _worker_count(10**9, 10**6) == cpus
+    assert _worker_count(10**9, 3) == min(cpus, 3)
+    assert _worker_count(1, 50) == 1
+    assert _worker_count(4, 0) == 0
+
+
+def test_engine_cap_exit_3(capsys, monkeypatch):
+    import querylab.harness
+
+    def capped(f, eps):
+        raise RuntimeError("column generation did not terminate")
+
+    monkeypatch.setattr(querylab.harness, "solve_expected_game", capped)
+    code, out, err = run(capsys, "measure", "tt:2:0111", "--measures", "R0")
+    assert code == 3 and out == ""
+    assert "column generation did not terminate" in err
+
+
+def test_failed_audit_exit_5(capsys, monkeypatch):
+    import querylab.harness
+    from querylab import AuditError
+
+    def broken(f, eps):
+        raise AuditError("game audit failed")
+
+    monkeypatch.setattr(querylab.harness, "solve_worstcase_depth", broken)
+    code, out, err = run(capsys, "measure", "tt:2:0111", "--measures", "Rwc")
+    assert code == 5 and out == ""
+    assert "audit failed" in err
+
+
 def test_scan_bad_family_exit_2(capsys):
     code, _, _ = run(capsys, "scan", "--family", "bogus:2", "--measures", "D")
     assert code == 2

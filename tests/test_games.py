@@ -4,19 +4,24 @@ Every frozen rational here was confirmed by the exhaustive-tree oracle in
 oracles.py before being asserted against the column-generation engine.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 
+import querylab
 from querylab import (
+    MeasureContext,
     QueryFunction,
     best_response,
     det_complexity,
     enumerate_functions,
     parse_function,
     sabotage,
-    sabotage_measures,
     solve_expected_game,
     solve_worstcase_depth,
     tree_depth,
@@ -107,17 +112,22 @@ def test_third_error_frozen():
     assert solve_expected_game(XOR2, Fraction(1, 3)).value == Fraction(2, 3)
 
 
+def _sabotage_measures(f):
+    ctx = MeasureContext()
+    return {name: ctx.measure(f, name) for name in ("DS", "RS", "RSu")}
+
+
 def test_sabotage_measures_frozen():
-    m = sabotage_measures(OR2)
+    m = _sabotage_measures(OR2)
     assert m == {"DS": 2, "RS": Fraction(3, 2), "RSu": Fraction(3, 2)}
     const = parse_function("tt:2:0000")
-    assert sabotage_measures(const) == {"DS": 0, "RS": 0, "RSu": 0}
+    assert _sabotage_measures(const) == {"DS": 0, "RS": 0, "RSu": 0}
 
 
 def test_index3_sabotage_value():
     from querylab import index_function
 
-    assert sabotage_measures(index_function(3))["RS"] == Fraction(9, 5)
+    assert MeasureContext().measure(index_function(3), "RS") == Fraction(9, 5)
 
 
 # -- oracle agreement over whole families -------------------------------------
@@ -233,3 +243,63 @@ def test_unique_sabotage_game_matches_full():
         full = solve_expected_game(sabotage(f), 0).value
         restricted = solve_expected_game(unique_sabotage(f), 0).value
         assert full == restricted
+
+
+# -- audits survive python -O ---------------------------------------------------
+
+_AUDIT_CASES = """
+from fractions import Fraction
+import sys
+
+import querylab.games as games
+from querylab import (
+    AuditError, LinearProgram, LPSolution, parse_function, sabotage,
+    solve_expected_game,
+)
+
+def expect_audit_error(name, call):
+    try:
+        call()
+    except AuditError as exc:
+        print(name, "AuditError", exc)
+    else:
+        print(name, "no error")
+
+print("optimize", sys.flags.optimize)
+
+# x = 2 violates x <= 1
+lp = LinearProgram("max", [1], [([1], "<=", 1)])
+wrong = LPSolution("optimal", x=[Fraction(2)], duals=[Fraction(1)],
+                   objective=Fraction(2))
+expect_audit_error("verify", lambda: wrong.verify(lp))
+
+# Duals that put the whole mixture on the seed tree, which costs more
+# than the game value, so the rebuilt mixture cannot achieve it.
+real_solve_lp = games.solve_lp
+
+def tampered(program):
+    sol = real_solve_lp(program)
+    sol.duals = sol.duals[:1] + [Fraction(-1)] + [Fraction(0)] * (len(sol.duals) - 2)
+    return sol
+
+games.solve_lp = tampered
+expect_audit_error(
+    "game", lambda: solve_expected_game(sabotage(parse_function("tt:2:0111")), 0)
+)
+"""
+
+
+def test_audits_raise_under_python_O():
+    env = dict(os.environ)
+    src = str(Path(querylab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _AUDIT_CASES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1] == "verify AuditError row 0 violated"
+    assert lines[2].startswith("game AuditError game audit failed:")
+    assert "'mixture_achieves_value': False" in lines[2]

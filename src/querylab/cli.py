@@ -254,7 +254,7 @@ def _scan_worker(payload):
         cache_dir=cache_dir, limit_arity=limit_arity,
         domain_cap=domain_cap, default_eps=eps,
     )
-    return ctx.report(parse_function(literal), specs)
+    return ctx.report(parse_function(literal), specs), ctx.audits
 
 
 def _worker_count(jobs, n_functions):
@@ -279,7 +279,10 @@ def _cmd_scan(args):
             for lit in literals
         ]
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            reports = list(pool.map(_scan_worker, payloads))
+            results = list(pool.map(_scan_worker, payloads))
+        reports = [report for report, _ in results]
+        for _, audits in results:
+            ctx.audits.extend(audits)
     else:
         reports = [ctx.report(parse_function(lit), specs) for lit in literals]
     if args.out is None:

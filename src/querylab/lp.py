@@ -1,12 +1,18 @@
 """Exact rational linear programming by two-phase revised simplex.
 
-Everything runs on exact rationals; there is no floating point and no
-tolerance anywhere.  Pivoting uses Bland's rule, so the solver terminates on
-degenerate programs and is fully deterministic: identical input yields the
-identical basis, solution, and duals.  Every optimal solve re-checks primal
-feasibility, dual feasibility, complementary slackness, and strong duality
-before returning; a failure of any of these is a solver bug and raises
-AuditError.
+Everything is exact; there is no floating point and no tolerance anywhere.
+The simplex itself runs on Python ints: the rows are scaled to integers and
+the basis inverse is kept as an integer adjugate over its determinant,
+updated by the fraction-free pivot of Edmonds, "Systems of distinct
+representatives and linear algebra" (1967) and Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination" (1968).
+Rationals appear only in the solution and the duals read off at the end.
+Pivoting uses Bland's rule, so the solver terminates on degenerate programs
+and is fully deterministic: identical input yields the identical basis,
+solution, and duals.  Every optimal solve re-checks primal feasibility, dual
+feasibility, complementary slackness, and strong duality on the original
+rational program before returning; a failure of any of these is a solver bug
+and raises AuditError.
 
 Variables are nonnegative unless listed in free_vars.  Duals follow the
 standard sign conventions:
@@ -19,8 +25,10 @@ and satisfy objective == sum_i y_i * rhs_i exactly at optimum.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .core import AuditError
-from .rational import ZERO, ONE, as_rat
+from .rational import ZERO, ONE, as_rat, rat
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -152,12 +160,20 @@ def _solve(lp, dropped):
 
 
 class _Tableau:
-    """Revised simplex state for the internal form min c.x, A x = b, x >= 0, b >= 0."""
+    """Fraction-free revised simplex for min c.x, A x = b, x >= 0, b >= 0.
+
+    Live rows are scaled to integers by their sign times the lcm of their
+    denominators, the costs by the lcm of theirs.  B^-1 is kept as the integer
+    adjugate adj = det * B^-1 over det > 0, with x_num = adj . b.  A pivot on
+    d = adj . a_j at row l sets adj[r] = (adj[r] d[l] - d[r] adj[l]) // det for
+    r != l, then det = d[l]; Sylvester's identity makes each division exact
+    (Edmonds 1967, Bareiss 1968).  Positive row scales change no reduced-cost
+    sign and no ratio order, so the pivots are those of the rational simplex.
+    """
 
     def __init__(self, lp, dropped):
         self.lp = lp
-        self.dropped = sorted(dropped)
-        self.sense_sign = ONE if lp.sense == "min" else -ONE
+        self.sense_sign = 1 if lp.sense == "min" else -1
 
         # Map original variables to internal columns; free vars split in two.
         self.var_cols = []
@@ -170,122 +186,132 @@ class _Tableau:
                 self.var_cols.append((n_cols, None))
                 n_cols += 1
 
-        live = [i for i in range(len(lp.rows)) if i not in dropped]
-        self.live_rows = live
-        m = len(live)
-        self.m = m
-        self.columns = [[ZERO] * m for _ in range(n_cols)]
+        self.live_rows = live = [i for i in range(len(lp.rows)) if i not in dropped]
+        self.m = m = len(live)
+        self.columns = [[0] * m for _ in range(n_cols)]
+        self.cost_scale = lcm(*(int(c.denominator) for c in lp.objective))
         self.costs = []
         for j in range(lp.n_vars):
             pos, neg = self.var_cols[j]
-            c = self.sense_sign * lp.objective[j]
+            c = self.sense_sign * _scaled(lp.objective[j], self.cost_scale)
             self.costs.append(c)
             if neg is not None:
                 self.costs.append(-c)
 
-        self.b = []
-        self.row_signs = []
+        self.x_num = []
+        self.row_scales = []
         basis = []
         art_rows = []
         for k, i in enumerate(live):
             coeffs, rel, rhs = lp.rows[i]
-            sign = ONE if rhs >= 0 else -ONE
-            self.row_signs.append(sign)
-            self.b.append(sign * rhs)
+            sign = 1 if rhs >= 0 else -1
+            scale = sign * lcm(int(rhs.denominator), *(int(a.denominator) for a in coeffs))
+            self.row_scales.append(scale)
+            self.x_num.append(_scaled(rhs, scale))
             for j in range(lp.n_vars):
                 pos, neg = self.var_cols[j]
-                self.columns[pos][k] = sign * coeffs[j]
+                a = self.columns[pos][k] = _scaled(coeffs[j], scale)
                 if neg is not None:
-                    self.columns[neg][k] = -sign * coeffs[j]
+                    self.columns[neg][k] = -a
             eff = rel if sign > 0 else {"<=": ">=", ">=": "<=", "=": "="}[rel]
             if eff == "<=":
-                col = [ZERO] * m
-                col[k] = ONE
+                col = [0] * m
+                col[k] = 1
                 self.columns.append(col)
-                self.costs.append(ZERO)
+                self.costs.append(0)
                 basis.append(len(self.columns) - 1)
             else:
                 if eff == ">=":
-                    col = [ZERO] * m
-                    col[k] = -ONE
+                    col = [0] * m
+                    col[k] = -1
                     self.columns.append(col)
-                    self.costs.append(ZERO)
+                    self.costs.append(0)
                 basis.append(None)
                 art_rows.append(k)
 
         self.n_structural = len(self.columns)
         self.artificials = set()
+        # The artificial of row k stands for |scale_k| unscaled units, so it
+        # costs top / |scale_k|: phase 1 minimizes the unscaled sum, times top.
+        top = lcm(*(self.row_scales[k] for k in art_rows))
+        self.phase1_costs = [0] * self.n_structural
         for k in art_rows:
-            col = [ZERO] * m
-            col[k] = ONE
+            col = [0] * m
+            col[k] = 1
             self.columns.append(col)
-            self.costs.append(ZERO)
-            idx = len(self.columns) - 1
-            self.artificials.add(idx)
-            basis[k] = idx
+            self.costs.append(0)
+            self.phase1_costs.append(top // abs(self.row_scales[k]))
+            basis[k] = len(self.columns) - 1
+            self.artificials.add(basis[k])
         self.basis = basis
         self.in_basis = set(basis)
-        self.b_inv = [[ONE if r == c else ZERO for c in range(m)] for r in range(m)]
-        self.x_b = list(self.b)
+        self.adj = [[int(r == c) for c in range(m)] for r in range(m)]
+        self.det = 1
 
-    def _dual_vector(self, costs):
-        return [
-            sum((costs[self.basis[k]] * self.b_inv[k][i] for k in range(self.m)), ZERO)
-            for i in range(self.m)
-        ]
+    def _prices(self, costs):
+        """y = c_B . adj: the simplex multipliers times det."""
+        y = [0] * self.m
+        for k, row in enumerate(self.adj):
+            c = costs[self.basis[k]]
+            if c:
+                y = [u + c * v for u, v in zip(y, row)]
+        return y
+
+    def _column(self, j):
+        """d = adj . a_j: the entering column in the current basis, times det."""
+        col = self.columns[j]
+        return [sum([v * a for v, a in zip(row, col)]) for row in self.adj]
 
     def _run(self, costs, allowed):
         for _ in range(_MAX_PIVOTS):
-            y = self._dual_vector(costs)
+            y = self._prices(costs)
+            det = self.det
             entering = None
             for j in allowed:
                 if j in self.in_basis:
                     continue
-                reduced = costs[j] - sum(
-                    (y[i] * self.columns[j][i] for i in range(self.m)), ZERO
-                )
-                if reduced < 0:
+                # reduced cost c_j - y.a_j / det < 0, cleared of det > 0
+                if costs[j] * det < sum([u * a for u, a in zip(y, self.columns[j])]):
                     entering = j
                     break
             if entering is None:
                 return True
-            col = self.columns[entering]
-            d = [
-                sum((self.b_inv[r][i] * col[i] for i in range(self.m)), ZERO)
-                for r in range(self.m)
-            ]
+            d = self._column(entering)
+            x = self.x_num
             leaving = None
-            best = None
             for r in range(self.m):
                 if d[r] > 0:
-                    ratio = self.x_b[r] / d[r]
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leaving])
-                    ):
-                        best = ratio
+                    if leaving is None:
+                        leaving = r
+                        continue
+                    # ratio x[r] / d[r] against the best, cross-multiplied
+                    lhs, rhs = x[r] * d[leaving], x[leaving] * d[r]
+                    if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[leaving]):
                         leaving = r
             if leaving is None:
                 return False
-            self._pivot(entering, leaving, d, best)
+            self._pivot(entering, leaving, d)
         raise RuntimeError("simplex did not terminate (pivot cap reached)")
 
-    def _pivot(self, entering, leaving, d, theta):
+    def _pivot(self, entering, leaving, d):
+        det, piv = self.det, d[leaving]
+        adj, x = self.adj, self.x_num
+        pivot_row, x_l = adj[leaving], x[leaving]
         for r in range(self.m):
-            if r != leaving:
-                self.x_b[r] -= theta * d[r]
-        self.x_b[leaving] = theta
-        piv = d[leaving]
-        row = self.b_inv[leaving]
-        if piv != 1:
-            self.b_inv[leaving] = row = [v / piv for v in row]
-        for r in range(self.m):
-            if r != leaving and d[r] != 0:
-                factor = d[r]
-                self.b_inv[r] = [
-                    v - factor * w for v, w in zip(self.b_inv[r], row)
-                ]
+            if r == leaving:
+                continue
+            f = d[r]
+            if f:
+                adj[r] = [(v * piv - f * w) // det for v, w in zip(adj[r], pivot_row)]
+            elif piv != det:
+                adj[r] = [v * piv // det for v in adj[r]]
+            x[r] = (x[r] * piv - f * x_l) // det
+        self.det = piv
+        if piv < 0:
+            # only a drive-out pivot can be negative; keep det > 0
+            self.adj = [[-v for v in row] for row in adj]
+            self.x_num = [-v for v in x]
+            self.det = -piv
         self.in_basis.discard(self.basis[leaving])
         self.in_basis.add(entering)
         self.basis[leaving] = entering
@@ -293,68 +319,52 @@ class _Tableau:
     def phase1(self):
         if not self.artificials:
             return True
-        costs = [ZERO] * len(self.columns)
-        for j in self.artificials:
-            costs[j] = ONE
-        allowed = range(self.n_structural)
-        if not self._run(costs, allowed):
+        costs = self.phase1_costs
+        if not self._run(costs, range(self.n_structural)):
             raise AuditError("phase 1 cannot be unbounded")
-        value = sum(
-            (costs[self.basis[k]] * self.x_b[k] for k in range(self.m)), ZERO
-        )
-        return value == 0
+        return sum(costs[j] * v for j, v in zip(self.basis, self.x_num)) == 0
 
     def drive_out_artificials(self):
         """Pivot basic artificials out; returns a redundant original row index or None."""
         for r in range(self.m):
             if self.basis[r] not in self.artificials:
                 continue
-            pivoted = False
             for j in range(self.n_structural):
                 if j in self.in_basis:
                     continue
-                d_r = sum(
-                    (self.b_inv[r][i] * self.columns[j][i] for i in range(self.m)),
-                    ZERO,
-                )
-                if d_r != 0:
-                    d = [
-                        sum(
-                            (self.b_inv[k][i] * self.columns[j][i] for i in range(self.m)),
-                            ZERO,
-                        )
-                        for k in range(self.m)
-                    ]
+                if sum([v * a for v, a in zip(self.adj[r], self.columns[j])]):
                     # basic artificial sits at zero, so this pivot is degenerate
-                    if self.x_b[r] != 0:
+                    if self.x_num[r] != 0:
                         raise AuditError("basic artificial left at a nonzero value")
-                    self._pivot(j, r, d, self.x_b[r] / d_r)
-                    pivoted = True
+                    self._pivot(j, r, self._column(j))
                     break
-            if not pivoted:
+            else:
                 return self.live_rows[r]
         return None
 
     def phase2(self):
-        allowed = range(self.n_structural)
-        return self._run(self.costs, allowed)
+        return self._run(self.costs, range(self.n_structural))
 
     def original_x(self):
-        values = {}
-        for k in range(self.m):
-            values[self.basis[k]] = self.x_b[k]
+        values = dict(zip(self.basis, self.x_num))
         x = []
         for j in range(self.lp.n_vars):
             pos, neg = self.var_cols[j]
-            v = values.get(pos, ZERO)
+            v = values.get(pos, 0)
             if neg is not None:
-                v = v - values.get(neg, ZERO)
-            x.append(v)
+                v -= values.get(neg, 0)
+            x.append(rat(v, self.det))
         return x
 
     def original_duals(self):
-        y_int = self._dual_vector(self.costs)
+        y = self._prices(self.costs)
+        den = self.det * self.cost_scale
         duals = [ZERO] * len(self.lp.rows)
         for k, i in enumerate(self.live_rows):
-            duals[i] = self.sense_sign * self.row_signs[k] * y_int[k]
+            duals[i] = rat(self.sense_sign * y[k] * self.row_scales[k], den)
         return duals
+
+
+def _scaled(q, scale):
+    """The integer q * scale, for a rational q whose denominator divides scale."""
+    return int(q.numerator) * (scale // int(q.denominator))

@@ -1,8 +1,10 @@
 """Exact rational arithmetic for the engine kernels.
 
-All engine math runs on an exact rational type: gmpy2.mpq when available
-(roughly 10x faster), fractions.Fraction otherwise.  Public APIs convert
-results back to Fraction so callers never see the kernel type.  No floats
+Engine math runs on an exact rational type: gmpy2.mpq when available,
+fractions.Fraction otherwise.  The simplex pivots run on Python ints either
+way (see lp.py), so the rational type only carries LP set-up, the LP audit
+and the best-response searches.  Public APIs convert results back to
+Fraction so callers never see the kernel type.  No floats
 enter any computation here; floats only appear in logarithmic advisory
 bounds elsewhere, clearly flagged as such.
 """

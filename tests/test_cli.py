@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from querylab import enumerate_functions
 from querylab.cli import main
 
 
@@ -152,6 +153,30 @@ def test_scan_jobs_match_serial(capsys):
     )
     assert code == 0
     assert serial == parallel
+
+
+def test_scan_jobs_keep_audits(capsys, monkeypatch):
+    import querylab.cli
+
+    contexts = []
+
+    class Recording(querylab.cli.MeasureContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(querylab.cli, "MeasureContext", Recording)
+    scan = ("scan", "--family", "all-total:2", "--measures", "R0,Rwc")
+    assert run(capsys, *scan)[0] == 0
+    serial = {(fn, spec) for fn, spec, _ in contexts[-1].audits}
+    assert serial
+    assert run(capsys, *scan, "--jobs", "2")[0] == 0
+    parent = contexts[-1].audits
+    assert serial <= {(fn, spec) for fn, spec, _ in parent}
+    assert all(all(flags.values()) for _, _, flags in parent)
+    order = [f.encoding() for f in enumerate_functions("all-total:2")]
+    positions = [order.index(fn) for fn, _, _ in parent]
+    assert positions == sorted(positions)
 
 
 def test_scan_jobs_below_one_exit_2(capsys):

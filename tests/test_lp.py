@@ -1,10 +1,18 @@
-"""Exact simplex: known optima, duals, degeneracy, and vertex cross-checks."""
+"""Exact simplex: known optima, duals, degeneracy, and vertex cross-checks.
 
+The kernel tests at the end run every pivot of the integer tableau under a
+check of its invariants: adj . B == det . I and adj . b == x_num, det > 0.
+"""
+
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from querylab import LinearProgram, check_feasible, solve_lp
+from querylab.lp import _Tableau
 
 from oracles import oracle_lp_vertices
 
@@ -164,3 +172,139 @@ def test_duals_price_the_rhs():
         )
     )
     assert bumped.objective - sol.objective == sol.duals[0] * Fraction(1, 10)
+
+
+# -- the integer kernel --------------------------------------------------------
+
+
+def _check_invariants(tab):
+    m, det = tab.m, tab.det
+    assert isinstance(det, int) and det > 0
+    for r in range(m):
+        assert all(isinstance(v, int) for v in tab.adj[r])
+        for c in range(m):
+            column = tab.columns[tab.basis[c]]
+            entry = sum(tab.adj[r][i] * column[i] for i in range(m))
+            assert entry == (det if r == c else 0)
+        assert sum(tab.adj[r][i] * tab.rhs[i] for i in range(m)) == tab.x_num[r]
+
+
+@contextmanager
+def audited_pivots():
+    """Check the kernel invariants after every pivot; yields the tableaux and pivot elements."""
+    init, pivot = _Tableau.__init__, _Tableau._pivot
+    seen = {"tableaux": [], "elements": []}
+
+    def checked_init(tab, lp, dropped):
+        init(tab, lp, dropped)
+        tab.rhs = list(tab.x_num)
+        seen["tableaux"].append(tab)
+        _check_invariants(tab)
+
+    def checked_pivot(tab, entering, leaving, d):
+        seen["elements"].append(d[leaving])
+        pivot(tab, entering, leaving, d)
+        _check_invariants(tab)
+
+    _Tableau.__init__, _Tableau._pivot = checked_init, checked_pivot
+    try:
+        yield seen
+    finally:
+        _Tableau.__init__, _Tableau._pivot = init, pivot
+
+
+def _rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(2, 4))
+    rows = [
+        (
+            [draw(coefficients) for _ in range(n)],
+            draw(st.sampled_from(("<=", "=", ">="))),
+            draw(coefficients),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    # the bounding row keeps every feasible program without free vars bounded
+    rows.append(([1] * n, "<=", draw(st.fractions(0, 5, max_denominator=3))))
+    free = draw(st.sets(st.integers(0, n - 1), max_size=1))
+    return draw(st.sampled_from(("min", "max"))), [draw(coefficients) for _ in range(n)], rows, free
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_lps())
+def test_kernel_invariants_and_vertex_oracle(lp_data):
+    sense, objective, rows, free = lp_data
+    with audited_pivots():
+        sol = solve_lp(LinearProgram(sense, objective, rows, free_vars=free))
+    if free:
+        return  # the invariants held; the oracle knows nonnegative variables only
+    # the oracle needs full row rank, which only dependent '=' rows break
+    equalities = [coeffs for coeffs, rel, _ in rows if rel == "="]
+    assume(_rank(equalities) == len(equalities))
+    expected = oracle_lp_vertices(sense, objective, rows)
+    if expected is None:
+        assert sol.status == "infeasible"
+    else:
+        assert sol.status == "optimal"
+        assert sol.objective == expected
+
+
+def test_fractional_rhs_scales_rows():
+    rows = [([1, 2], "<=", Fraction(7, 2)), ([3, 1], "<=", Fraction(10, 3))]
+    with audited_pivots() as seen:
+        sol = solve_lp(LinearProgram("max", [1, 1], rows))
+    assert seen["tableaux"][0].row_scales == [2, 3]
+    assert len(seen["elements"]) == 2
+    assert sol.objective == oracle_lp_vertices("max", [1, 1], rows) == Fraction(31, 15)
+    assert sol.x == [Fraction(19, 30), Fraction(43, 30)]
+    assert sol.duals == [Fraction(2, 5), Fraction(1, 5)]
+
+
+def test_fractional_objective_scales_costs():
+    objective = [Fraction(-1, 4), 1, Fraction(2, 3)]
+    rows = [([1, 1, 1], ">=", 2), ([1, 0, 2], "<=", 3)]
+    with audited_pivots() as seen:
+        sol = solve_lp(LinearProgram("min", objective, rows))
+    assert seen["tableaux"][0].cost_scale == 12
+    assert sol.objective == oracle_lp_vertices("min", objective, rows) == Fraction(-3, 4)
+    assert sol.x == [3, 0, 0]
+    assert sol.duals == [0, Fraction(-1, 4)]
+
+
+def test_drive_out_on_negative_pivot_keeps_det_positive():
+    # -x0 = 0 leaves its artificial basic at zero after phase 1; driving it
+    # out pivots on the element -1, so the kernel renormalizes the sign.
+    rows = [([-1, 0], "=", 0), ([1, 1], "<=", 3)]
+    with audited_pivots() as seen:
+        sol = solve_lp(LinearProgram("max", [0, 1], rows))
+    assert seen["elements"][0] < 0
+    assert sol.x == [0, 3]
+    assert sol.duals == [1, 1]  # the equality row's dual is free; this is the basis's
+
+
+def test_redundant_row_resolves_without_it():
+    rows = [([1, 1], "=", 2), ([2, 2], "=", 4), ([1, 0], "<=", Fraction(3, 2))]
+    with audited_pivots() as seen:
+        sol = solve_lp(LinearProgram("max", [2, 1], rows))
+    assert [tab.live_rows for tab in seen["tableaux"]] == [[0, 1, 2], [0, 2]]
+    assert sol.objective == Fraction(7, 2)
+    assert sol.duals == [1, 0, 1]

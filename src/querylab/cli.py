@@ -5,9 +5,10 @@ printed as exact rationals ("num/den", or a bare integer when the
 denominator is one).  Exit codes: 0 success, 1 verification found a failing
 check, 2 malformed input (bad literal, unknown measure or check id, scan
 --jobs below 1), 3 a size limit or a simplex pivot or column-generation cap
-was exceeded, 4 an output or cache path was not writable, 5 an exact
-self-check of a result failed (AuditError; an engine bug).  scan --jobs N
-starts at most min(N, CPU count, number of functions) worker processes.
+was exceeded (LimitExceeded), 4 an output or cache path was not writable, 5
+an exact self-check of a result failed (AuditError; an engine bug).  Any
+other error, such as a broken worker pool, ends in a traceback.  scan --jobs
+N starts at most min(N, CPU count, number of functions) worker processes.
 """
 
 from __future__ import annotations
@@ -422,9 +423,6 @@ def main(argv=None):
         return 2
     except LimitExceeded as exc:
         print(f"qlab: limit exceeded: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
-        print(f"qlab: engine stopped: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"qlab: io error: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ class InconsistentStateError(ValueError):
 
 
 class LimitExceeded(RuntimeError):
-    """A family or measure request is over the configured size limit."""
+    """A size limit, or the simplex pivot or column-generation cap, was hit."""
 
 
 class AuditError(AssertionError):

@@ -2,16 +2,27 @@
 
 A randomized algorithm is a mixture of deterministic trees.  Its cost
 against the worst input is the value of a zero-sum game, and both games here
-go through one column-generation loop, _solve_game.  The loop solves the
-adversary's LP over a growing set of trees: variables are a distribution
-alpha on the domain, optional penalized extras and the value nu, with one
-cut row per tree saying the tree pays at least nu against alpha.  It prices
-a new tree with best_response, the split search of det.py under weighted
-query costs and errors, and stops when the best response cannot beat nu.
-The optimal mixture of trees is read from the duals of the tree rows.  All
-of it is exact rational arithmetic, so the termination test is an exact
-comparison and the value returned is the true optimum, not an
-approximation.
+go through one column-generation loop, _solve_game.  The loop grows one
+restricted master per game, the adversary's LP over the trees seen so far:
+variables are a distribution alpha on the domain, optional penalized extras
+and the value nu, with one cut row per tree, -column . (alpha, extras) + nu
+<= 0, saying the tree pays at least nu against alpha.  Each new tree appends
+its integer cut row to the same LinearProgram, and solve_lp resumes from the
+last optimal basis by the dual simplex.  New trees come from best_response,
+the split search of det.py on integer-scaled query costs and errors.
+
+The master's optima are degenerate, and a resumed basis tends to keep the
+adversary on a few inputs, which on parity-like functions multiplied the
+trees needed several times over.  So pricing is stabilized by in-out
+separation (Wentges 1997; Ben-Ameur & Neto 2007): the best response at the
+point a quarter of the way from the center, the adversary point with the
+best lower bound on the value so far, to the master's optimum x is kept when
+its cut row cuts x off; otherwise x itself is priced.  The loop stops when
+the best response to x cannot beat nu, so the stopping test and the audits
+are those of plain column generation.  The optimal mixture of trees is read
+from the (nonnegative) duals of the cut rows.  All of it is exact, so the
+termination test is an exact comparison and the value returned is the true
+optimum, not an approximation.
 
 Each solver supplies only its tree column, its pricing call and its audit:
 
@@ -32,11 +43,11 @@ failed check raises AuditError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import gcd, inf, lcm
 
-from .core import AuditError
+from .core import AuditError, LimitExceeded
 from .det import _members, _split_search
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, _scaled, solve_lp
 from .rational import ZERO, as_rat, rat, to_fraction
 from .trees import Leaf, tree_depth, walk
 
@@ -51,41 +62,53 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
     None meaning errors are forbidden (leaves only at settled sets).  An
     entry of math.inf in error_weights forbids erring on that input alone.
     depth_budget, when given, caps the tree depth.  Returns (tree, objective).
+    The search runs on ints: every finite weight is scaled by the lcm of all
+    their denominators, and the objective is divided back at the end.
     """
     dom = f.domain
     if not dom:
         return Leaf("0"), to_fraction(0)
     alpha = [as_rat(cost_weights.get(x, 0)) for x in dom]
-    leaf_rule = None
+    beta = None
     if error_weights is not None:
-        labels = [f.table[x] for x in dom]
-        label_menu = f.labels()
         beta = []
         for x in dom:
             w = error_weights.get(x, 0)
-            beta.append(w if w == inf else as_rat(w))
+            beta.append(inf if type(w) is float and w == inf else as_rat(w))
+    scale = lcm(*[q.denominator for q in alpha + (beta or []) if q is not inf])
+    alpha = [_scaled(q, scale) for q in alpha]
+    leaf_rule = None
+    if beta is not None:
+        beta = [w if w is inf else _scaled(w, scale) for w in beta]
+        labels = [f.table[x] for x in dom]
+        label_menu = f.labels()
 
         def leaf_rule(s):
             best = None
             for candidate in label_menu:
-                cost = ZERO
+                cost = 0
                 for i in _members(s):
                     if labels[i] != candidate:
-                        if beta[i] == inf:
+                        if beta[i] is inf:
                             cost = inf
                             break
-                        cost = cost + beta[i]
+                        cost += beta[i]
                 if best is None or cost < best[0]:
                     best = (cost, candidate)
             return best
 
+    weights = {}  # query weight of a set, shared by all the positions splitting it
+
     def combine(s, values):
-        return sum((alpha[i] for i in _members(s)), ZERO) + sum(values)
+        w = weights.get(s)
+        if w is None:
+            w = weights[s] = sum([alpha[i] for i in _members(s)])
+        return w + sum(values)
 
     objective, tree = _split_search(f, leaf_rule, combine, depth_budget)
     if objective == inf:
         raise RuntimeError("no admissible tree exists for these weights")
-    return tree, objective
+    return tree, rat(objective, scale)
 
 
 @dataclass
@@ -108,6 +131,12 @@ class GameSolution:
     audit: dict
 
 
+def _common(values):
+    """(ints, den) with values == [v / den for v in ints]."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _vectors_for(f, dom, tree):
     cost_vec, err_vec = [], []
     for x in dom:
@@ -120,47 +149,80 @@ def _vectors_for(f, dom, tree):
 def _solve_game(f, eps, penalties, column, price, seed, audit):
     """Column generation over trees, from the seed tree to an audited solution.
 
-    The LP maximizes nu - penalties . extras over (alpha, extras, nu) with
-    sum(alpha) = 1 and one row column(cost_vec, err_vec) . (alpha, extras)
-    >= nu per tree.  price(x) returns the best response (tree, objective) to
-    the LP point x.  audit(lp_solution, response, game) returns the audit
-    flags of the finished game, given the final best response's objective;
-    all of them must hold.
+    One restricted master, kept across iterations, maximizes
+    nu + penalties . extras over (alpha, extras, nu) with sum(alpha) = 1 and
+    one cut row -column(cost_vec, err_vec) . (alpha, extras) + nu <= 0 per
+    tree; penalties are <= 0.  Only the first row needs a phase-1
+    artificial; each later tree appends its row and the master resumes from
+    its last optimal basis.  price(x) returns the best response (tree,
+    objective) to the adversary point x; at any such point, objective +
+    penalties . extras is a lower bound on the game value.
+    audit(lp_solution, response, game) returns the audit flags of the
+    finished game, given the final best response's objective; all of them
+    must hold.
     """
     dom = f.domain
     m = len(dom)
-    objective = [0] * m + penalties + [1]
-    first_row = ([1] * m + [0] * (len(penalties) + 1), "=", 1)
+    master = LinearProgram(
+        "max", [0] * m + penalties + [1], [([1] * m + [0] * (len(penalties) + 1), "=", 1)]
+    )
+    pen, pen_den = _common(penalties)
+    center = None  # (ints, den, bound) of the point with the best bound so far
+
+    def priced(ints, den):
+        # A point's best response, less its penalties, bounds the value below.
+        nonlocal center
+        g = gcd(den, *ints)
+        ints, den = [v // g for v in ints], den // g
+        tree, response = price([rat(v, den) for v in ints])
+        bound = response + rat(sum([p * v for p, v in zip(pen, ints[m:])]), pen_den * den)
+        if center is None or bound > center[2]:
+            center = (ints, den, bound)
+        return tree, response
+
     trees = []
     tree = seed
     while True:
         trees.append((tree, *_vectors_for(f, dom, tree)))
         if len(trees) > _MAX_COLUMNS:
-            raise RuntimeError("column generation did not terminate")
-        rows = [first_row]
-        for _, cost_vec, err_vec in trees:
-            rows.append((column(cost_vec, err_vec) + [-1], ">=", 0))
-        sol = solve_lp(LinearProgram("max", objective, rows))
+            raise LimitExceeded("column generation did not terminate")
+        master.add_row([-a for a in column(*trees[-1][1:])] + [1], "<=", 0)
+        sol = solve_lp(master)
         if sol.status != "optimal":
             raise AuditError(f"the adversary's LP is {sol.status}")
-        tree, response = price(sol.x)
-        if response >= sol.x[-1]:
-            break
+        opt, d_opt = _common(sol.x)
+        tree = None
+        if center is not None:
+            # In-out separation: first price the point a quarter of the way
+            # from the center to the optimum, and keep its tree if it cuts
+            # the optimum off.
+            c, dc, _ = center
+            point = [3 * u * d_opt + v * dc for u, v in zip(c, opt)]
+            tree, _ = priced(point, 4 * dc * d_opt)
+            cut = column(*_vectors_for(f, dom, tree))
+            if sum([a * v for a, v in zip(cut, opt)]) >= opt[-1]:
+                tree = None
+        if tree is None:
+            tree, response = priced(opt, d_opt)
+            if response >= sol.x[-1]:
+                break
 
     alpha = sol.x[:m]
     if sum(alpha, ZERO) != 1 or any(a < 0 for a in alpha):
         raise AuditError("the adversary's weights are not a distribution")
     # The mixture lives in the duals of the tree rows (normalized: the dual
     # may overshoot 1 in degenerate corners, which scaling only improves).
-    raw = [-y for y in sol.duals[1:]]
-    total = sum(raw, ZERO)
-    if total < 1 or any(w < 0 for w in raw):
+    # Over one denominator den the duals are the ints raw, and the mixture
+    # weights are raw / total.
+    raw, den = _common(sol.duals[1:])
+    total = sum(raw)
+    if total < den or any(w < 0 for w in raw):
         raise AuditError("the tree-row duals are not a mixture")
-    support = [(trees[k], w / total) for k, w in enumerate(raw) if w != 0]
+    support = [(t, w) for t, w in zip(trees, raw) if w]
     expected_cost, error = {}, {}
     for i, x in enumerate(dom):
-        expected_cost[x] = sum((w * t[1][i] for t, w in support), ZERO)
-        error[x] = sum((w * t[2][i] for t, w in support), ZERO)
+        expected_cost[x] = rat(sum([w * t[1][i] for t, w in support]), total)
+        error[x] = rat(sum([w * t[2][i] for t, w in support]), total)
 
     game = GameSolution(
         value=to_fraction(sol.objective),
@@ -168,7 +230,7 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
         hard_distribution={
             dom[i]: to_fraction(alpha[i]) for i in range(m) if alpha[i] != 0
         },
-        support=[(t[0], to_fraction(w)) for t, w in support],
+        support=[(t[0], to_fraction(rat(w, total))) for t, w in support],
         expected_cost={x: to_fraction(v) for x, v in expected_cost.items()},
         error={x: to_fraction(v) for x, v in error.items()},
         iterations=len(trees),

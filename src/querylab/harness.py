@@ -30,7 +30,7 @@ from .games import solve_expected_game, solve_worstcase_depth
 from .rational import rat_from_str, rat_str, to_fraction
 from .trees import tree_to_obj
 
-ENGINE_VERSION = "0.1.0"
+ENGINE_VERSION = "0.2.0"
 
 MEASURE_NAMES = ("D", "DS", "C", "bs", "RC", "R0", "RS", "RSu", "Rbar", "Rwc")
 _EPS_MEASURES = ("Rbar", "Rwc")

@@ -9,10 +9,18 @@ identity and multistep integer-preserving Gaussian elimination" (1968).
 Rationals appear only in the solution and the duals read off at the end.
 Pivoting uses Bland's rule, so the solver terminates on degenerate programs
 and is fully deterministic: identical input yields the identical basis,
-solution, and duals.  Every optimal solve re-checks primal feasibility, dual
+solution, and duals.
+
+A program keeps the tableau of its last optimal solve.  Inequality rows
+appended by LinearProgram.add_row border that tableau with their slacks, so
+the old basis stays dual feasible, and the next solve_lp restores primal
+feasibility by the dual simplex (Lemke 1954) instead of starting cold.  This
+is how column generation grows one restricted master.
+
+Every optimal solve, cold or resumed, re-checks primal feasibility, dual
 feasibility, complementary slackness, and strong duality on the original
-rational program before returning; a failure of any of these is a solver bug
-and raises AuditError.
+rational program before returning, in integer arithmetic and without the
+tableau; a failure of any of these is a solver bug and raises AuditError.
 
 Variables are nonnegative unless listed in free_vars.  Duals follow the
 standard sign conventions:
@@ -27,8 +35,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .core import AuditError
-from .rational import ZERO, ONE, as_rat, rat
+from .core import AuditError, LimitExceeded
+from .rational import ZERO, as_rat, rat
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -42,18 +50,33 @@ class LinearProgram:
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
         self.sense = sense
-        self.objective = [as_rat(c) for c in objective]
+        self.objective = [_exact(c) for c in objective]
         self.rows = []
-        n = len(self.objective)
+        self._tableau = None
         for coeffs, rel, rhs in rows:
-            if rel not in RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-            if len(coeffs) != n:
-                raise ValueError("row length does not match objective length")
-            self.rows.append(([as_rat(a) for a in coeffs], rel, as_rat(rhs)))
+            self.add_row(coeffs, rel, rhs)
         self.free_vars = frozenset(free_vars)
-        if any(not 0 <= j < n for j in self.free_vars):
+        if any(not 0 <= j < self.n_vars for j in self.free_vars):
             raise ValueError("free variable index out of range")
+
+    def add_row(self, coeffs, rel, rhs):
+        """Append the row coeffs . x rel rhs.
+
+        After an optimal solve, an inequality row borders the kept tableau
+        and the next solve_lp resumes from it; an equality row discards the
+        tableau, so the next solve starts cold.
+        """
+        if rel not in RELATIONS:
+            raise ValueError(f"unknown relation {rel!r}")
+        if len(coeffs) != self.n_vars:
+            raise ValueError("row length does not match objective length")
+        row = ([_exact(a) for a in coeffs], rel, _exact(rhs))
+        self.rows.append(row)
+        if self._tableau is not None:
+            if rel == "=":
+                self._tableau = None
+            else:
+                self._tableau.add_row(len(self.rows) - 1, row)
 
     @property
     def n_vars(self):
@@ -76,49 +99,76 @@ class LPSolution:
     def verify(self, lp):
         """Exact primal/dual feasibility, complementary slackness, strong duality.
 
-        Returns True, or raises AuditError naming the first check that fails.
+        Runs on ints: each row is scaled by the lcm of its denominators, x
+        and the duals are put over common denominators, and every condition
+        is compared with those positive scales cleared.  Returns True, or
+        raises AuditError naming the first check that fails.
         """
         if self.status != "optimal":
             raise AuditError("verify applies to optimal solutions")
         x, y = self.x, self.duals
         if len(x) != lp.n_vars or len(y) != len(lp.rows):
             raise AuditError("solution length does not match the program")
-        for j, xv in enumerate(x):
+        # x = X / x_den, y_i = Y_i / y_den, row i = (A_i, B_i) / s_i, c = C / c_den
+        x_den = lcm(*[v.denominator for v in x])
+        X = [v.numerator * (x_den // v.denominator) for v in x]
+        for j, xv in enumerate(X):
             if j not in lp.free_vars and xv < 0:
                 raise AuditError(f"x[{j}] negative")
-        mx = ONE if lp.sense == "min" else -ONE
-        for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-            lhs = sum((a * xv for a, xv in zip(coeffs, x)), ZERO)
+        y_den = lcm(*[v.denominator for v in y])
+        scales, int_rows = [], []
+        for coeffs, _, rhs in lp.rows:
+            s = lcm(rhs.denominator, *[a.denominator for a in coeffs])
+            scales.append(s)
+            if s == 1:  # the program keeps integral entries as ints
+                int_rows.append((coeffs, rhs))
+            else:
+                A = [a.numerator * (s // a.denominator) for a in coeffs]
+                int_rows.append((A, rhs.numerator * (s // rhs.denominator)))
+        # y_i a_i = Z_i A_i / (y_den top), with Z_i = Y_i (top / s_i)
+        top = lcm(*scales)
+        Z = [v.numerator * (y_den // v.denominator) * (top // s)
+             for v, s in zip(y, scales)]
+        mx = 1 if lp.sense == "min" else -1
+        for i, ((A, B), (_, rel, _)) in enumerate(zip(int_rows, lp.rows)):
+            lhs, rhs = sum([a * v for a, v in zip(A, X)]), B * x_den
             if rel == "<=":
                 if lhs > rhs:
                     raise AuditError(f"row {i} violated")
-                if mx * y[i] > 0:
+                if mx * Z[i] > 0:
                     raise AuditError(f"dual sign on row {i}")
             elif rel == ">=":
                 if lhs < rhs:
                     raise AuditError(f"row {i} violated")
-                if mx * y[i] < 0:
+                if mx * Z[i] < 0:
                     raise AuditError(f"dual sign on row {i}")
             elif lhs != rhs:
                 raise AuditError(f"row {i} violated")
-            if y[i] * (lhs - rhs) != 0:
+            if Z[i] and lhs != rhs:
                 raise AuditError(f"complementary slackness on row {i}")
+        # reduced costs times c_den y_den top: C_j y_den top - c_den sum_i Z_i A_ij
+        c_den = lcm(*[c.denominator for c in lp.objective])
+        C = [c.numerator * (c_den // c.denominator) for c in lp.objective]
+        priced = [0] * lp.n_vars
+        for z, (A, _) in zip(Z, int_rows):
+            if z:
+                priced = [u + z * a for u, a in zip(priced, A)]
         for j in range(lp.n_vars):
-            reduced = lp.objective[j] - sum(
-                (lp.rows[i][0][j] * y[i] for i in range(len(lp.rows))), ZERO
-            )
+            reduced = C[j] * y_den * top - c_den * priced[j]
             if j in lp.free_vars:
                 if reduced != 0:
                     raise AuditError(f"dual constraint on free var {j}")
             elif mx * reduced < 0:
                 raise AuditError(f"dual constraint on var {j}")
-            elif x[j] * reduced != 0:
+            elif X[j] and reduced:
                 raise AuditError(f"complementary slackness on var {j}")
-        primal = sum((c * xv for c, xv in zip(lp.objective, x)), ZERO)
-        dual = sum((y[i] * lp.rows[i][2] for i in range(len(lp.rows))), ZERO)
-        if primal != dual:
+        # c . x = primal / (c_den x_den) and y . b = dual / (y_den top)
+        primal = sum([c * v for c, v in zip(C, X)])
+        dual = sum([z * B for z, (_, B) in zip(Z, int_rows)])
+        if primal * y_den * top != dual * c_den * x_den:
             raise AuditError("strong duality failed")
-        if primal != self.objective:
+        objective = self.objective
+        if primal * objective.denominator != objective.numerator * c_den * x_den:
             raise AuditError("reported objective mismatch")
         return True
 
@@ -126,9 +176,18 @@ class LPSolution:
 def solve_lp(lp):
     """Solve exactly; returns an LPSolution with status optimal/infeasible/unbounded.
 
-    An optimal solution has passed verify, which sets its verified flag.
+    A program solved before resumes from its kept tableau by the dual
+    simplex; any other starts cold.  An optimal solution has passed verify,
+    which sets its verified flag.
     """
-    solution = _solve(lp, frozenset())
+    tab = lp._tableau
+    if tab is None:
+        solution = _solve(lp, frozenset())
+    elif tab.dual_simplex():
+        solution = _optimum(lp, tab)
+    else:
+        lp._tableau = None
+        solution = LPSolution("infeasible")
     if solution.status == "optimal":
         solution.verify(lp)
         solution.verified = True
@@ -153,26 +212,45 @@ def _solve(lp, dropped):
         return _solve(lp, dropped | {redundant})
     if not tab.phase2():
         return LPSolution("unbounded")
-    x = tab.original_x()
-    duals = tab.original_duals()
-    objective = sum((c * xv for c, xv in zip(lp.objective, x)), ZERO)
-    return LPSolution("optimal", x=x, duals=duals, objective=objective)
+    return _optimum(lp, tab)
+
+
+def _optimum(lp, tab):
+    """The optimal solution of an optimal tableau, which lp keeps for add_row."""
+    lp._tableau = tab
+    return LPSolution(
+        "optimal",
+        x=tab.original_x(),
+        duals=tab.original_duals(len(lp.rows)),
+        objective=tab.original_objective(),
+    )
 
 
 class _Tableau:
-    """Fraction-free revised simplex for min c.x, A x = b, x >= 0, b >= 0.
+    """Fraction-free revised simplex for min c.x, A x = b, x >= 0.
 
-    Live rows are scaled to integers by their sign times the lcm of their
+    Live rows are scaled to integers by a sign times the lcm of their
     denominators, the costs by the lcm of theirs.  B^-1 is kept as the integer
     adjugate adj = det * B^-1 over det > 0, with x_num = adj . b.  A pivot on
     d = adj . a_j at row l sets adj[r] = (adj[r] d[l] - d[r] adj[l]) // det for
     r != l, then det = d[l]; Sylvester's identity makes each division exact
     (Edmonds 1967, Bareiss 1968).  Positive row scales change no reduced-cost
     sign and no ratio order, so the pivots are those of the rational simplex.
+
+    A cold start signs each row so that b >= 0 and runs phase 1 over the
+    artificials of its '=' and '>=' rows, which are dropped once driven out.
+    add_row then borders an optimal basis with a new inequality row, signed
+    so that its slack enters with +1: with r_B the row's entries on the basic
+    columns, adj becomes [[adj, 0], [-r_B . adj, det]] and det is unchanged.
+    The prices are unchanged too, so the basis stays dual feasible, and
+    dual_simplex pivots until x_num >= 0: the leaving row is the negative one
+    of lowest basic index, the entering column the lowest index of least
+    ratio, which is Bland's rule on the dual.  Pivots of the primal simplex
+    are positive; drive-out and dual-simplex pivots may be negative, and then
+    adj, x_num and det are negated together to keep det > 0.
     """
 
     def __init__(self, lp, dropped):
-        self.lp = lp
         self.sense_sign = 1 if lp.sense == "min" else -1
 
         # Map original variables to internal columns; free vars split in two.
@@ -291,7 +369,7 @@ class _Tableau:
             if leaving is None:
                 return False
             self._pivot(entering, leaving, d)
-        raise RuntimeError("simplex did not terminate (pivot cap reached)")
+        raise LimitExceeded("simplex did not terminate (pivot cap reached)")
 
     def _pivot(self, entering, leaving, d):
         det, piv = self.det, d[leaving]
@@ -308,7 +386,7 @@ class _Tableau:
             x[r] = (x[r] * piv - f * x_l) // det
         self.det = piv
         if piv < 0:
-            # only a drive-out pivot can be negative; keep det > 0
+            # a drive-out or dual-simplex pivot; keep det > 0
             self.adj = [[-v for v in row] for row in adj]
             self.x_num = [-v for v in x]
             self.det = -piv
@@ -340,29 +418,102 @@ class _Tableau:
                     break
             else:
                 return self.live_rows[r]
+        del self.columns[self.n_structural :]
+        del self.costs[self.n_structural :]
         return None
 
     def phase2(self):
-        return self._run(self.costs, range(self.n_structural))
+        return self._run(self.costs, range(len(self.columns)))
+
+    def add_row(self, i, row):
+        """Border the optimal basis with row i of the program and its slack."""
+        coeffs, rel, rhs = row
+        sign = 1 if rel == "<=" else -1
+        scale = sign * lcm(int(rhs.denominator), *(int(a.denominator) for a in coeffs))
+        for col in self.columns:
+            col.append(0)
+        for j, a in enumerate(coeffs):
+            pos, neg = self.var_cols[j]
+            v = self.columns[pos][-1] = _scaled(a, scale)
+            if neg is not None:
+                self.columns[neg][-1] = -v
+        r_b = [self.columns[j][-1] for j in self.basis]
+        border = [0] * self.m
+        for r, row in zip(r_b, self.adj):
+            if r:
+                border = [u - r * v for u, v in zip(border, row)]
+        for row in self.adj:
+            row.append(0)
+        border.append(self.det)
+        self.adj.append(border)
+        self.x_num.append(
+            self.det * _scaled(rhs, scale) - sum([r * v for r, v in zip(r_b, self.x_num)])
+        )
+        self.columns.append([0] * self.m + [1])
+        self.costs.append(0)
+        self.basis.append(len(self.columns) - 1)
+        self.in_basis.add(self.basis[-1])
+        self.live_rows.append(i)
+        self.row_scales.append(scale)
+        self.m += 1
+
+    def dual_simplex(self):
+        """From a dual-feasible basis, pivot to x_num >= 0; False if infeasible."""
+        costs = self.costs
+        for _ in range(_MAX_PIVOTS):
+            x, basis = self.x_num, self.basis
+            leaving = None
+            for r in range(self.m):
+                if x[r] < 0 and (leaving is None or basis[r] < basis[leaving]):
+                    leaving = r
+            if leaving is None:
+                return True
+            row, y, det = self.adj[leaving], self._prices(costs), self.det
+            entering = None
+            for j, col in enumerate(self.columns):
+                if j in self.in_basis:
+                    continue
+                a = -sum([v * c for v, c in zip(row, col)])
+                if a <= 0:
+                    continue
+                # reduced cost (>= 0) over a, against the best, cross-multiplied
+                reduced = costs[j] * det - sum([u * c for u, c in zip(y, col)])
+                if entering is None or reduced * best_a < best_reduced * a:
+                    entering, best_reduced, best_a = j, reduced, a
+            if entering is None:
+                return False
+            self._pivot(entering, leaving, self._column(entering))
+        raise LimitExceeded("dual simplex did not terminate (pivot cap reached)")
 
     def original_x(self):
         values = dict(zip(self.basis, self.x_num))
         x = []
-        for j in range(self.lp.n_vars):
-            pos, neg = self.var_cols[j]
+        for pos, neg in self.var_cols:
             v = values.get(pos, 0)
             if neg is not None:
                 v -= values.get(neg, 0)
-            x.append(rat(v, self.det))
+            x.append(rat(v, self.det) if v else ZERO)
         return x
 
-    def original_duals(self):
+    def original_objective(self):
+        value = sum([self.costs[j] * v for j, v in zip(self.basis, self.x_num)])
+        return rat(self.sense_sign * value, self.det * self.cost_scale)
+
+    def original_duals(self, n_rows):
         y = self._prices(self.costs)
         den = self.det * self.cost_scale
-        duals = [ZERO] * len(self.lp.rows)
+        duals = [ZERO] * n_rows
         for k, i in enumerate(self.live_rows):
             duals[i] = rat(self.sense_sign * y[k] * self.row_scales[k], den)
         return duals
+
+
+def _exact(value):
+    """An integral value as an int, any other as the kernel rational."""
+    if type(value) is int:
+        return value
+    q = as_rat(value)
+    return int(q.numerator) if q.denominator == 1 else q
 
 
 def _scaled(q, scale):

@@ -1,10 +1,11 @@
 """Exact rational arithmetic for the engine kernels.
 
 Engine math runs on an exact rational type: gmpy2.mpq when available,
-fractions.Fraction otherwise.  The simplex pivots run on Python ints either
-way (see lp.py), so the rational type only carries LP set-up, the LP audit
-and the best-response searches.  Public APIs convert results back to
-Fraction so callers never see the kernel type.  No floats
+fractions.Fraction otherwise.  The simplex, the LP audit and the
+best-response searches run on Python ints either way (see lp.py and
+games.py), so the rational type only carries values between them: LP
+input, solutions and duals, and game certificates.  Public APIs convert
+results back to Fraction so callers never see the kernel type.  No floats
 enter any computation here; floats only appear in logarithmic advisory
 bounds elsewhere, clearly flagged as such.
 """
@@ -14,18 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 try:
-    from gmpy2 import mpq as _mpq
-
-    def rat(num, den=1):
-        return _mpq(num, den)
-
+    from gmpy2 import mpq as rat
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def rat(num, den=1):
-        return Fraction(num, den)
+    rat = Fraction  # rat(num, den=1) builds the kernel rational
 
 
 def as_rat(value):
     """Coerce int / Fraction / kernel rational / 'num/den' string to the kernel type."""
+    if type(value) is rat:
+        return value
     if isinstance(value, str):
         return rat_from_str(value)
     if isinstance(value, float):
@@ -62,7 +60,7 @@ def rat_str(value):
 
 def to_fraction(value):
     q = as_rat(value)
-    return Fraction(int(q.numerator), int(q.denominator))
+    return q if type(q) is Fraction else Fraction(int(q.numerator), int(q.denominator))
 
 
 def floor_rat(value):
@@ -71,4 +69,3 @@ def floor_rat(value):
 
 
 ZERO = rat(0)
-ONE = rat(1)

@@ -202,6 +202,63 @@ def oracle_lp_vertices(sense, objective, rows):
     return best
 
 
+def oracle_verify(solution, lp):
+    """The LP audit in Fraction arithmetic, row by row and variable by variable.
+
+    Checks what LPSolution.verify checks, in the same order, on the rational
+    program as given.  Returns None when every check holds, else the
+    message of the first check that fails.
+    """
+    if solution.status != "optimal":
+        return "verify applies to optimal solutions"
+    x = [Fraction(v) for v in solution.x]
+    y = [Fraction(v) for v in solution.duals]
+    rows = [
+        ([Fraction(a) for a in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in lp.rows
+    ]
+    objective = [Fraction(c) for c in lp.objective]
+    if len(x) != len(objective) or len(y) != len(rows):
+        return "solution length does not match the program"
+    for j, xv in enumerate(x):
+        if j not in lp.free_vars and xv < 0:
+            return f"x[{j}] negative"
+    mx = 1 if lp.sense == "min" else -1
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        lhs = sum((a * xv for a, xv in zip(coeffs, x)), Fraction(0))
+        if rel == "<=":
+            if lhs > rhs:
+                return f"row {i} violated"
+            if mx * y[i] > 0:
+                return f"dual sign on row {i}"
+        elif rel == ">=":
+            if lhs < rhs:
+                return f"row {i} violated"
+            if mx * y[i] < 0:
+                return f"dual sign on row {i}"
+        elif lhs != rhs:
+            return f"row {i} violated"
+        if y[i] * (lhs - rhs) != 0:
+            return f"complementary slackness on row {i}"
+    for j in range(len(objective)):
+        reduced = objective[j] - sum(
+            (rows[i][0][j] * y[i] for i in range(len(rows))), Fraction(0)
+        )
+        if j in lp.free_vars:
+            if reduced != 0:
+                return f"dual constraint on free var {j}"
+        elif mx * reduced < 0:
+            return f"dual constraint on var {j}"
+        elif x[j] * reduced != 0:
+            return f"complementary slackness on var {j}"
+    primal = sum((c * xv for c, xv in zip(objective, x)), Fraction(0))
+    dual = sum((y[i] * rows[i][2] for i in range(len(rows))), Fraction(0))
+    if primal != dual:
+        return "strong duality failed"
+    if primal != Fraction(solution.objective):
+        return "reported objective mismatch"
+    return None
+
+
 def _solve_square(mat, rhs):
     """Gaussian elimination over Fractions; None when singular."""
     m = len(mat)

@@ -201,14 +201,26 @@ def test_worker_count_clamp():
 
 def test_engine_cap_exit_3(capsys, monkeypatch):
     import querylab.harness
+    from querylab import LimitExceeded
 
     def capped(f, eps):
-        raise RuntimeError("column generation did not terminate")
+        raise LimitExceeded("column generation did not terminate")
 
     monkeypatch.setattr(querylab.harness, "solve_expected_game", capped)
     code, out, err = run(capsys, "measure", "tt:2:0111", "--measures", "R0")
     assert code == 3 and out == ""
     assert "column generation did not terminate" in err
+
+
+def test_other_runtime_error_is_not_exit_3(capsys, monkeypatch):
+    import querylab.harness
+
+    def stuck(f, eps):
+        raise RuntimeError("no admissible tree exists for these weights")
+
+    monkeypatch.setattr(querylab.harness, "solve_expected_game", stuck)
+    with pytest.raises(RuntimeError, match="no admissible tree"):
+        main(["measure", "tt:2:0111", "--measures", "R0"])
 
 
 def test_failed_audit_exit_5(capsys, monkeypatch):

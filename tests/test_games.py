@@ -245,6 +245,28 @@ def test_unique_sabotage_game_matches_full():
         assert full == restricted
 
 
+def test_parity_game_needs_few_trees():
+    # XOR of four bits at eps 1/4 is highly degenerate: a resumed master
+    # without stabilized pricing generated 80 trees here.
+    game = solve_expected_game(parse_function("tt:4:1001011001101001"), Fraction(1, 4))
+    assert game.value == 2
+    assert game.iterations <= 20
+
+
+def test_caps_raise_limit_exceeded(monkeypatch):
+    import querylab.games
+    import querylab.lp
+
+    game = sabotage(parse_function("tt:2:0111"))  # needs more than its seed tree
+    monkeypatch.setattr(querylab.games, "_MAX_COLUMNS", 1)
+    with pytest.raises(querylab.LimitExceeded, match="column generation"):
+        solve_expected_game(game, 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(querylab.lp, "_MAX_PIVOTS", 0)
+    with pytest.raises(querylab.LimitExceeded, match="pivot cap"):
+        solve_expected_game(game, 0)
+
+
 # -- audits survive python -O ---------------------------------------------------
 
 _AUDIT_CASES = """
@@ -274,12 +296,15 @@ wrong = LPSolution("optimal", x=[Fraction(2)], duals=[Fraction(1)],
 expect_audit_error("verify", lambda: wrong.verify(lp))
 
 # Duals that put the whole mixture on the seed tree, which costs more
-# than the game value, so the rebuilt mixture cannot achieve it.
+# than the game value, so the rebuilt mixture cannot achieve it.  The
+# tampered dual keeps the sign of the seed row's own dual, so it still
+# reads as a mixture and the game audit is what catches it.
 real_solve_lp = games.solve_lp
 
 def tampered(program):
     sol = real_solve_lp(program)
-    sol.duals = sol.duals[:1] + [Fraction(-1)] + [Fraction(0)] * (len(sol.duals) - 2)
+    seed = Fraction(-1) if sol.duals[1] < 0 else Fraction(1)
+    sol.duals = sol.duals[:1] + [seed] + [Fraction(0)] * (len(sol.duals) - 2)
     return sol
 
 games.solve_lp = tampered

@@ -1,7 +1,9 @@
 """Exact simplex: known optima, duals, degeneracy, and vertex cross-checks.
 
 The kernel tests at the end run every pivot of the integer tableau under a
-check of its invariants: adj . B == det . I and adj . b == x_num, det > 0.
+check of its invariants: adj . B == det . I and adj . b == x_num, det > 0,
+also across rows appended to a solved program.  The integer audit is held
+to the Fraction one in oracles.py.
 """
 
 from contextlib import contextmanager
@@ -11,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from querylab import LinearProgram, check_feasible, solve_lp
+from querylab import AuditError, LinearProgram, check_feasible, solve_lp
 from querylab.lp import _Tableau
 
-from oracles import oracle_lp_vertices
+from oracles import oracle_lp_vertices, oracle_verify
 
 
 def test_classic_max_with_known_duals():
@@ -192,7 +194,7 @@ def _check_invariants(tab):
 @contextmanager
 def audited_pivots():
     """Check the kernel invariants after every pivot; yields the tableaux and pivot elements."""
-    init, pivot = _Tableau.__init__, _Tableau._pivot
+    init, pivot, add_row = _Tableau.__init__, _Tableau._pivot, _Tableau.add_row
     seen = {"tableaux": [], "elements": []}
 
     def checked_init(tab, lp, dropped):
@@ -206,11 +208,17 @@ def audited_pivots():
         pivot(tab, entering, leaving, d)
         _check_invariants(tab)
 
+    def checked_add_row(tab, i, row):
+        add_row(tab, i, row)
+        tab.rhs.append(row[2] * tab.row_scales[-1])
+        _check_invariants(tab)
+
     _Tableau.__init__, _Tableau._pivot = checked_init, checked_pivot
+    _Tableau.add_row = checked_add_row
     try:
         yield seen
     finally:
-        _Tableau.__init__, _Tableau._pivot = init, pivot
+        _Tableau.__init__, _Tableau._pivot, _Tableau.add_row = init, pivot, add_row
 
 
 def _rank(rows):
@@ -308,3 +316,82 @@ def test_redundant_row_resolves_without_it():
     assert [tab.live_rows for tab in seen["tableaux"]] == [[0, 1, 2], [0, 2]]
     assert sol.objective == Fraction(7, 2)
     assert sol.duals == [1, 0, 1]
+
+
+def test_added_row_resumes_by_dual_simplex():
+    # max x + y, x + 2y <= 4, 3x + y <= 6 has its optimum at (8/5, 6/5);
+    # the row x + y <= 2 cuts it off, so the kept basis turns primal
+    # infeasible and the dual simplex pivots on a negative element.
+    program = LinearProgram("max", [1, 1], [([1, 2], "<=", 4), ([3, 1], "<=", 6)])
+    with audited_pivots() as seen:
+        first = solve_lp(program)
+        program.add_row([1, 1], "<=", 2)
+        second = solve_lp(program)
+    assert first.objective == Fraction(14, 5)
+    assert len(seen["tableaux"]) == 1  # the second solve built no tableau
+    assert seen["elements"][-1] < 0
+    assert second.verified and second.objective == 2
+    assert second.objective == oracle_lp_vertices("max", [1, 1], program.rows)
+
+
+def test_added_equality_row_starts_cold():
+    program = LinearProgram("min", [1, 2], [([1, 1], ">=", 1)])
+    with audited_pivots() as seen:
+        solve_lp(program)
+        program.add_row([1, -1], "=", 0)
+        sol = solve_lp(program)
+    assert len(seen["tableaux"]) == 2
+    assert sol.x == [Fraction(1, 2), Fraction(1, 2)]
+
+
+inequalities = st.tuples(
+    st.lists(coefficients, min_size=4, max_size=4),
+    st.sampled_from(("<=", ">=")),
+    coefficients,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(small_lps(), st.lists(inequalities, min_size=1, max_size=3))
+def test_added_rows_match_a_cold_solve(lp_data, extra):
+    sense, objective, rows, free = lp_data
+    n = len(objective)
+    program = LinearProgram(sense, objective, rows, free_vars=free)
+    with audited_pivots():
+        sol = solve_lp(program)
+        for coeffs, rel, rhs in extra:
+            program.add_row(coeffs[:n], rel, rhs)
+            warm = solve_lp(program)
+            cold = solve_lp(LinearProgram(sense, objective, program.rows, free_vars=free))
+            assert warm.status == cold.status
+            assert warm.objective == cold.objective
+            if sol.status == "optimal" and warm.status == "optimal":
+                assert warm.verified
+            sol = warm
+
+
+def _verdict(solution, lp):
+    try:
+        solution.verify(lp)
+    except AuditError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    small_lps(),
+    st.sampled_from(("none", "x", "duals")),
+    st.integers(0, 8),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+)
+def test_integer_verify_matches_oracle(lp_data, target, index, delta):
+    sense, objective, rows, free = lp_data
+    program = LinearProgram(sense, objective, rows, free_vars=free)
+    sol = solve_lp(program)
+    assume(sol.status == "optimal")
+    if target != "none":
+        values = list(getattr(sol, target))
+        values[index % len(values)] += delta
+        setattr(sol, target, values)
+    assert _verdict(sol, program) == oracle_verify(sol, program)

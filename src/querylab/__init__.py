@@ -27,17 +27,13 @@ from .constructions import (
 )
 from .core import (
     AuditError,
-    InconsistentStateError,
-    KnowledgeState,
     LimitExceeded,
     ParseError,
     QueryFunction,
     UndefinedValueError,
     canonical_encoding,
-    consistent_inputs,
     enumerate_functions,
     input_sort_key,
-    is_certificate,
     parse_function,
 )
 from .det import (
@@ -68,8 +64,6 @@ __all__ = [
     "AuditError",
     "ConstructionError",
     "GameSolution",
-    "InconsistentStateError",
-    "KnowledgeState",
     "LPSolution",
     "Leaf",
     "LimitExceeded",
@@ -93,7 +87,6 @@ __all__ = [
     "certificate_complexity",
     "check_feasible",
     "compose",
-    "consistent_inputs",
     "det_complexity",
     "direct_sum",
     "enumerate_functions",
@@ -102,7 +95,6 @@ __all__ = [
     "index_function",
     "indexed_direct_sum",
     "input_sort_key",
-    "is_certificate",
     "majority_error",
     "markov_truncation",
     "max_disjoint",

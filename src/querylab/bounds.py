@@ -8,10 +8,11 @@ exact engines; the theorem harness only ever asserts on the rational parts.
 
 from __future__ import annotations
 
-from math import ceil, comb, log
+from fractions import Fraction
+from math import ceil, comb, floor, log
 
 from .core import AuditError
-from .rational import as_rat, floor_rat, rat, to_fraction
+from .rational import as_rat
 
 
 def majority_error(eps, runs):
@@ -25,12 +26,12 @@ def majority_error(eps, runs):
         raise ValueError(f"per-run error must lie in [0, 1), got {eps}")
     if not isinstance(runs, int) or runs < 1 or runs % 2 == 0:
         raise ValueError(f"run count must be an odd positive integer, got {runs!r}")
-    total = rat(0)
+    total = Fraction(0)
     for correct in range((runs - 1) // 2 + 1):
         total = total + comb(runs, correct) * eps ** (runs - correct) * (
             1 - eps
         ) ** correct
-    return to_fraction(total)
+    return total
 
 
 def amplification_repetitions(eps, target):
@@ -43,7 +44,7 @@ def amplification_repetitions(eps, target):
     """
     eps = as_rat(eps)
     target = as_rat(target)
-    if not 0 <= eps < rat(1, 2):
+    if not 0 <= eps < Fraction(1, 2):
         raise ValueError(f"per-run error must lie in [0, 1/2), got {eps}")
     if not 0 < target <= eps:
         raise ValueError(f"target must lie in (0, eps], got {target}")
@@ -71,7 +72,7 @@ def markov_truncation(expected_cost, delta):
         raise ValueError(f"expected cost must be nonnegative, got {expected_cost}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return floor_rat(expected_cost / delta), to_fraction(1 - delta)
+    return floor(expected_cost / delta), 1 - delta
 
 
 def repeat_cost(certificate_cost, eps):
@@ -82,7 +83,7 @@ def repeat_cost(certificate_cost, eps):
         raise ValueError(f"cost must be nonnegative, got {certificate_cost}")
     if not 0 <= eps < 1:
         raise ValueError(f"failure probability must lie in [0, 1), got {eps}")
-    return to_fraction(certificate_cost / (1 - eps))
+    return certificate_cost / (1 - eps)
 
 
 def expected_to_worstcase_factor(eps):
@@ -92,8 +93,8 @@ def expected_to_worstcase_factor(eps):
     advisory float 14*ln(1/eps)/(1-2*eps)^2.
     """
     eps = as_rat(eps)
-    if not 0 < eps < rat(1, 2):
+    if not 0 < eps < Fraction(1, 2):
         raise ValueError(f"error must lie in (0, 1/2), got {eps}")
-    if eps == rat(1, 3):
-        return to_fraction(10)
+    if eps == Fraction(1, 3):
+        return Fraction(10)
     return 14.0 * log(1.0 / float(eps)) / (1.0 - 2.0 * float(eps)) ** 2

@@ -43,7 +43,7 @@ from .core import (
     parse_function,
 )
 from .harness import ENGINE_VERSION, MeasureContext, MeasureError, parse_measure
-from .rational import rat_from_str, rat_str, to_fraction
+from .rational import rat_from_str, rat_str
 from .registry import REGISTRY, UnknownCheckError, run_checks
 
 _DEFAULT_LIMIT_ARITY = 4
@@ -70,10 +70,6 @@ def _common_flags(parser):
     parser.add_argument(
         "--domain-cap", type=int, default=_DEFAULT_DOMAIN_CAP, metavar="N",
         help="domain size cap for game solving (default: 1024)",
-    )
-    parser.add_argument(
-        "--seedless", action="store_true",
-        help="accepted for compatibility; every engine is deterministic",
     )
 
 
@@ -357,7 +353,7 @@ def _rat_arg(value, flag):
     if value is None:
         raise ParseError(f"bounds: missing required flag {flag}")
     try:
-        return to_fraction(rat_from_str(value))
+        return rat_from_str(value)
     except ValueError:
         raise ParseError(f"bounds: bad rational for {flag}: {value!r}") from None
 

@@ -1,4 +1,4 @@
-"""Partial functions on query strings, knowledge states, and their literals.
+"""Partial functions on query strings and their literals.
 
 A QueryFunction maps strings over a query alphabet to output labels.  The
 alphabet is either Boolean ("01") or the four-letter alphabet "01*+" used by
@@ -25,8 +25,6 @@ encodable as ext:<n>:{} for cache keys but is rejected by parse_function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 STAR = "*"
 DAGGER = "+"  # ASCII stand-in for the dagger mark
 BOOLEAN_ALPHABET = "01"
@@ -40,10 +38,6 @@ class ParseError(ValueError):
 
 class UndefinedValueError(LookupError):
     """The function was evaluated outside its domain."""
-
-
-class InconsistentStateError(ValueError):
-    """A knowledge state matches no domain input."""
 
 
 class LimitExceeded(RuntimeError):
@@ -205,51 +199,6 @@ def _parse_ext(n, body, text):
             raise ParseError(f"{text!r}: duplicate domain entry {x!r}")
         table[x] = label
     return QueryFunction(n, table)
-
-
-@dataclass(frozen=True)
-class KnowledgeState:
-    """What a decision tree has learned so far: revealed symbols per position."""
-
-    entries: tuple
-    queries: int = 0
-
-    @classmethod
-    def initial(cls, n):
-        return cls(entries=(None,) * n)
-
-    def reveal(self, position, symbol):
-        if not 0 <= position < len(self.entries):
-            raise IndexError(f"position {position} out of range")
-        if self.entries[position] is not None:
-            raise ValueError(f"position {position} was already queried")
-        if symbol not in SYMBOL_RANK:
-            raise ValueError(f"symbol {symbol!r} outside 01*+")
-        new = list(self.entries)
-        new[position] = symbol
-        return KnowledgeState(entries=tuple(new), queries=self.queries + 1)
-
-
-def consistent_inputs(f, state):
-    """Domain inputs matching every revealed symbol of the state."""
-    if len(state.entries) != f.arity:
-        raise ValueError("state arity does not match the function")
-    out = []
-    for x in f.domain:
-        if all(e is None or x[i] == e for i, e in enumerate(state.entries)):
-            out.append(x)
-    return frozenset(out)
-
-
-def is_certificate(f, state):
-    """True when every consistent input shares one label.
-
-    Raises InconsistentStateError when no domain input is consistent.
-    """
-    cs = consistent_inputs(f, state)
-    if not cs:
-        raise InconsistentStateError("state is consistent with no domain input")
-    return len({f.table[x] for x in cs}) == 1
 
 
 def enumerate_functions(family, limit_arity=4):

@@ -18,12 +18,12 @@ position; children follow the alphabet's symbol order.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import inf
 
 from .core import AuditError
 from .lp import LinearProgram, solve_lp
-from .rational import to_fraction
 from .trees import Leaf, Node
 
 
@@ -206,7 +206,7 @@ def fractional_block_sensitivity(f):
     for x in f.domain:
         blocks = sensitive_blocks(f, x)
         if not blocks:
-            per_input[x] = to_fraction(0)
+            per_input[x] = Fraction(0)
             continue
         rows = []
         for i in range(f.arity):
@@ -214,6 +214,6 @@ def fractional_block_sensitivity(f):
         sol = solve_lp(LinearProgram("max", [1] * len(blocks), rows))
         if sol.status != "optimal":
             raise AuditError(f"block-packing LP at {x!r} is {sol.status}")
-        per_input[x] = to_fraction(sol.objective)
-    overall = max(per_input.values(), default=to_fraction(0))
+        per_input[x] = sol.objective
+    overall = max(per_input.values(), default=Fraction(0))
     return overall, per_input

@@ -9,7 +9,9 @@ and the value nu, with one cut row per tree, -column . (alpha, extras) + nu
 <= 0, saying the tree pays at least nu against alpha.  Each new tree appends
 its integer cut row to the same LinearProgram, and solve_lp resumes from the
 last optimal basis by the dual simplex.  New trees come from best_response,
-the split search of det.py on integer-scaled query costs and errors.
+the split search of det.py on integer-scaled query costs and errors; the
+loop prices each adversary point as its ints over one denominator, which
+scales every weight alike and so changes no tree.
 
 The master's optima are degenerate, and a resumed basis tends to keep the
 adversary on a few inputs, which on parity-like functions multiplied the
@@ -43,12 +45,13 @@ failed check raises AuditError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf, lcm
+from fractions import Fraction
+from math import gcd, inf
 
 from .core import AuditError, LimitExceeded
 from .det import _members, _split_search
-from .lp import LinearProgram, _scaled, solve_lp
-from .rational import ZERO, as_rat, rat, to_fraction
+from .lp import LinearProgram, _exact, solve_lp
+from .rational import as_rat, common
 from .trees import Leaf, tree_depth, walk
 
 _MAX_COLUMNS = 100000
@@ -62,24 +65,24 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
     None meaning errors are forbidden (leaves only at settled sets).  An
     entry of math.inf in error_weights forbids erring on that input alone.
     depth_budget, when given, caps the tree depth.  Returns (tree, objective).
-    The search runs on ints: every finite weight is scaled by the lcm of all
-    their denominators, and the objective is divided back at the end.
+    The search runs on ints: every finite weight is put over one common
+    denominator, and the objective is divided back at the end.
     """
     dom = f.domain
     if not dom:
-        return Leaf("0"), to_fraction(0)
-    alpha = [as_rat(cost_weights.get(x, 0)) for x in dom]
+        return Leaf("0"), Fraction(0)
+    alpha = [_exact(cost_weights.get(x, 0)) for x in dom]
     beta = None
     if error_weights is not None:
         beta = []
         for x in dom:
             w = error_weights.get(x, 0)
-            beta.append(inf if type(w) is float and w == inf else as_rat(w))
-    scale = lcm(*[q.denominator for q in alpha + (beta or []) if q is not inf])
-    alpha = [_scaled(q, scale) for q in alpha]
+            beta.append(inf if type(w) is float and w == inf else _exact(w))
+    ints, scale = common(alpha + [w for w in beta or () if w is not inf])
+    alpha, finite = ints[: len(dom)], iter(ints[len(dom) :])
     leaf_rule = None
     if beta is not None:
-        beta = [w if w is inf else _scaled(w, scale) for w in beta]
+        beta = [w if w is inf else next(finite) for w in beta]
         labels = [f.table[x] for x in dom]
         label_menu = f.labels()
 
@@ -108,7 +111,7 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
     objective, tree = _split_search(f, leaf_rule, combine, depth_budget)
     if objective == inf:
         raise RuntimeError("no admissible tree exists for these weights")
-    return tree, rat(objective, scale)
+    return tree, Fraction(objective, scale)
 
 
 @dataclass
@@ -131,12 +134,6 @@ class GameSolution:
     audit: dict
 
 
-def _common(values):
-    """(ints, den) with values == [v / den for v in ints]."""
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _vectors_for(f, dom, tree):
     cost_vec, err_vec = [], []
     for x in dom:
@@ -154,9 +151,10 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
     one cut row -column(cost_vec, err_vec) . (alpha, extras) + nu <= 0 per
     tree; penalties are <= 0.  Only the first row needs a phase-1
     artificial; each later tree appends its row and the master resumes from
-    its last optimal basis.  price(x) returns the best response (tree,
-    objective) to the adversary point x; at any such point, objective +
-    penalties . extras is a lower bound on the game value.
+    its last optimal basis.  price(ints) returns the best response (tree,
+    objective) to the adversary point ints / den, scaled by den; at any such
+    point, objective / den + penalties . extras is a lower bound on the game
+    value.
     audit(lp_solution, response, game) returns the audit flags of the
     finished game, given the final best response's objective; all of them
     must hold.
@@ -166,7 +164,7 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
     master = LinearProgram(
         "max", [0] * m + penalties + [1], [([1] * m + [0] * (len(penalties) + 1), "=", 1)]
     )
-    pen, pen_den = _common(penalties)
+    pen, pen_den = common(penalties)
     center = None  # (ints, den, bound) of the point with the best bound so far
 
     def priced(ints, den):
@@ -174,8 +172,9 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
         nonlocal center
         g = gcd(den, *ints)
         ints, den = [v // g for v in ints], den // g
-        tree, response = price([rat(v, den) for v in ints])
-        bound = response + rat(sum([p * v for p, v in zip(pen, ints[m:])]), pen_den * den)
+        tree, response = price(ints)
+        response /= den
+        bound = response + Fraction(sum([p * v for p, v in zip(pen, ints[m:])]), pen_den * den)
         if center is None or bound > center[2]:
             center = (ints, den, bound)
         return tree, response
@@ -190,7 +189,7 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
         sol = solve_lp(master)
         if sol.status != "optimal":
             raise AuditError(f"the adversary's LP is {sol.status}")
-        opt, d_opt = _common(sol.x)
+        opt, d_opt = common(sol.x)
         tree = None
         if center is not None:
             # In-out separation: first price the point a quarter of the way
@@ -207,32 +206,29 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
             if response >= sol.x[-1]:
                 break
 
-    alpha = sol.x[:m]
-    if sum(alpha, ZERO) != 1 or any(a < 0 for a in alpha):
+    if sum(opt[:m]) != d_opt or any(a < 0 for a in opt[:m]):
         raise AuditError("the adversary's weights are not a distribution")
     # The mixture lives in the duals of the tree rows (normalized: the dual
     # may overshoot 1 in degenerate corners, which scaling only improves).
     # Over one denominator den the duals are the ints raw, and the mixture
     # weights are raw / total.
-    raw, den = _common(sol.duals[1:])
+    raw, den = common(sol.duals[1:])
     total = sum(raw)
     if total < den or any(w < 0 for w in raw):
         raise AuditError("the tree-row duals are not a mixture")
     support = [(t, w) for t, w in zip(trees, raw) if w]
     expected_cost, error = {}, {}
     for i, x in enumerate(dom):
-        expected_cost[x] = rat(sum([w * t[1][i] for t, w in support]), total)
-        error[x] = rat(sum([w * t[2][i] for t, w in support]), total)
+        expected_cost[x] = Fraction(sum([w * t[1][i] for t, w in support]), total)
+        error[x] = Fraction(sum([w * t[2][i] for t, w in support]), total)
 
     game = GameSolution(
-        value=to_fraction(sol.objective),
-        eps=to_fraction(eps),
-        hard_distribution={
-            dom[i]: to_fraction(alpha[i]) for i in range(m) if alpha[i] != 0
-        },
-        support=[(t[0], to_fraction(rat(w, total))) for t, w in support],
-        expected_cost={x: to_fraction(v) for x, v in expected_cost.items()},
-        error={x: to_fraction(v) for x, v in error.items()},
+        value=sol.objective,
+        eps=eps,
+        hard_distribution={dom[i]: sol.x[i] for i in range(m) if opt[i]},
+        support=[(t[0], Fraction(w, total)) for t, w in support],
+        expected_cost=expected_cost,
+        error=error,
         iterations=len(trees),
         audit=None,
     )
@@ -244,7 +240,7 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
 
 def _check_game_args(f, eps):
     eps = as_rat(eps)
-    if not 0 <= eps < rat(1, 2):
+    if not 0 <= eps < Fraction(1, 2):
         raise ValueError(f"error budget must lie in [0, 1/2), got {eps}")
     if not f.domain:
         raise ValueError("the game needs a nonempty domain")
@@ -269,11 +265,11 @@ def solve_expected_game(f, eps):
             "mixture_achieves_value": max(game.expected_cost.values()) == game.value,
             "mixture_error_within_budget": max(game.error.values()) <= eps,
             "best_response_cannot_beat_value": response >= nu,
-            "adversary_certifies_value": nu - eps * sum(sol.x[m:-1], ZERO)
+            "adversary_certifies_value": nu - eps * sum(sol.x[m:-1])
             == sol.objective,
         }
 
-    seed, _ = best_response(f, {x: rat(1, m) for x in dom}, None)
+    seed, _ = best_response(f, dict.fromkeys(dom, 1), None)
     if zero_error:
         return _solve_game(f, eps, [], lambda c, e: c, price, seed, audit)
     return _solve_game(f, eps, [-eps] * m, lambda c, e: c + e, price, seed, audit)
@@ -313,7 +309,7 @@ def solve_worstcase_depth(f, eps):
                 "best_response_cannot_beat_value": response >= sol.x[-1],
             }
 
-        seed, _ = best_response(f, {}, {x: rat(1, m) for x in dom}, depth)
+        seed, _ = best_response(f, {}, dict.fromkeys(dom, 1), depth)
         game = _solve_game(f, eps, [], lambda c, e: e, price, seed, audit)
         if game.value <= eps:
             return WorstcaseSolution(

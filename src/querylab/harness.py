@@ -27,7 +27,7 @@ from .det import (
     fractional_block_sensitivity,
 )
 from .games import solve_expected_game, solve_worstcase_depth
-from .rational import rat_from_str, rat_str, to_fraction
+from .rational import as_rat, rat_from_str, rat_str
 from .trees import tree_to_obj
 
 ENGINE_VERSION = "0.2.0"
@@ -56,10 +56,10 @@ def parse_measure(spec, default_eps):
             raise MeasureError(f"measure {name} does not take an error budget")
         return name, None, name
     if eps_text is None:
-        eps = to_fraction(default_eps)
+        eps = as_rat(default_eps)
     else:
         try:
-            eps = to_fraction(rat_from_str(eps_text))
+            eps = rat_from_str(eps_text)
         except ValueError:
             raise MeasureError(f"bad error budget in {spec!r}") from None
     return name, eps, f"{name}({rat_str(eps)})"
@@ -78,9 +78,7 @@ class MeasureContext:
         self.cache_dir = cache_dir
         self.limit_arity = limit_arity
         self.domain_cap = domain_cap
-        self.default_eps = to_fraction(rat_from_str(default_eps)) if isinstance(
-            default_eps, str
-        ) else to_fraction(default_eps)
+        self.default_eps = as_rat(default_eps)
         self._entries = {}
         self._games = {}
         self._worstcase = {}
@@ -146,7 +144,7 @@ class MeasureContext:
         )
         entry = self.measure_entry(f, name, eps, spec)
         value = entry["value"]
-        q = to_fraction(rat_from_str(value))
+        q = rat_from_str(value)
         return int(q) if q.denominator == 1 and name in (
             "D", "DS", "C", "bs", "Rwc"
         ) else q
@@ -156,9 +154,9 @@ class MeasureContext:
         f = self.function(f)
         spec = "R0" if eps == 0 else f"Rbar({rat_str(eps)})"
         name = "R0" if eps == 0 else "Rbar"
-        entry = self.measure_entry(f, name, to_fraction(eps) if eps else None, spec)
+        entry = self.measure_entry(f, name, as_rat(eps) if eps else None, spec)
         dist = entry["certificates"].get("hard_distribution", {})
-        return {x: to_fraction(rat_from_str(v)) for x, v in dist.items()}
+        return {x: rat_from_str(v) for x, v in dist.items()}
 
     def measure_entry(self, f, name, eps, spec):
         key = (f.encoding(), spec)
@@ -204,7 +202,7 @@ class MeasureContext:
                 target = f
             game_eps = eps if name == "Rbar" else 0
             if not target.domain:
-                value, certs = to_fraction(0), {
+                value, certs = 0, {
                     "hard_distribution": {},
                     "optimal_mixture": [],
                 }

@@ -1,12 +1,14 @@
 """Exact rational linear programming by two-phase revised simplex.
 
 Everything is exact; there is no floating point and no tolerance anywhere.
-The simplex itself runs on Python ints: the rows are scaled to integers and
-the basis inverse is kept as an integer adjugate over its determinant,
-updated by the fraction-free pivot of Edmonds, "Systems of distinct
-representatives and linear algebra" (1967) and Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination" (1968).
-Rationals appear only in the solution and the duals read off at the end.
+A program's entries are ints and Fractions; the solution, duals and
+objective are Fractions.  Between the two everything runs on Python ints:
+each row, the costs, x and the duals are put over one denominator by
+rational.common, and the basis inverse is kept as an integer adjugate over
+its determinant, updated by the fraction-free pivot of Edmonds, "Systems of
+distinct representatives and linear algebra" (1967) and Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian elimination"
+(1968).
 Pivoting uses Bland's rule, so the solver terminates on degenerate programs
 and is fully deterministic: identical input yields the identical basis,
 solution, and duals.
@@ -33,10 +35,11 @@ and satisfy objective == sum_i y_i * rhs_i exactly at optimum.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .core import AuditError, LimitExceeded
-from .rational import ZERO, as_rat, rat
+from .rational import as_rat, common
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -99,10 +102,10 @@ class LPSolution:
     def verify(self, lp):
         """Exact primal/dual feasibility, complementary slackness, strong duality.
 
-        Runs on ints: each row is scaled by the lcm of its denominators, x
-        and the duals are put over common denominators, and every condition
-        is compared with those positive scales cleared.  Returns True, or
-        raises AuditError naming the first check that fails.
+        Runs on ints: each row, x, the duals and the costs are put over
+        common denominators, and every condition is compared with those
+        positive scales cleared.  Returns True, or raises AuditError naming
+        the first check that fails.
         """
         if self.status != "optimal":
             raise AuditError("verify applies to optimal solutions")
@@ -110,25 +113,19 @@ class LPSolution:
         if len(x) != lp.n_vars or len(y) != len(lp.rows):
             raise AuditError("solution length does not match the program")
         # x = X / x_den, y_i = Y_i / y_den, row i = (A_i, B_i) / s_i, c = C / c_den
-        x_den = lcm(*[v.denominator for v in x])
-        X = [v.numerator * (x_den // v.denominator) for v in x]
+        X, x_den = common(x)
         for j, xv in enumerate(X):
             if j not in lp.free_vars and xv < 0:
                 raise AuditError(f"x[{j}] negative")
-        y_den = lcm(*[v.denominator for v in y])
+        Y, y_den = common(y)
         scales, int_rows = [], []
         for coeffs, _, rhs in lp.rows:
-            s = lcm(rhs.denominator, *[a.denominator for a in coeffs])
+            ints, s = common([*coeffs, rhs])
             scales.append(s)
-            if s == 1:  # the program keeps integral entries as ints
-                int_rows.append((coeffs, rhs))
-            else:
-                A = [a.numerator * (s // a.denominator) for a in coeffs]
-                int_rows.append((A, rhs.numerator * (s // rhs.denominator)))
+            int_rows.append((ints[:-1], ints[-1]))
         # y_i a_i = Z_i A_i / (y_den top), with Z_i = Y_i (top / s_i)
         top = lcm(*scales)
-        Z = [v.numerator * (y_den // v.denominator) * (top // s)
-             for v, s in zip(y, scales)]
+        Z = [v * (top // s) for v, s in zip(Y, scales)]
         mx = 1 if lp.sense == "min" else -1
         for i, ((A, B), (_, rel, _)) in enumerate(zip(int_rows, lp.rows)):
             lhs, rhs = sum([a * v for a, v in zip(A, X)]), B * x_den
@@ -147,8 +144,7 @@ class LPSolution:
             if Z[i] and lhs != rhs:
                 raise AuditError(f"complementary slackness on row {i}")
         # reduced costs times c_den y_den top: C_j y_den top - c_den sum_i Z_i A_ij
-        c_den = lcm(*[c.denominator for c in lp.objective])
-        C = [c.numerator * (c_den // c.denominator) for c in lp.objective]
+        C, c_den = common(lp.objective)
         priced = [0] * lp.n_vars
         for z, (A, _) in zip(Z, int_rows):
             if z:
@@ -267,11 +263,10 @@ class _Tableau:
         self.live_rows = live = [i for i in range(len(lp.rows)) if i not in dropped]
         self.m = m = len(live)
         self.columns = [[0] * m for _ in range(n_cols)]
-        self.cost_scale = lcm(*(int(c.denominator) for c in lp.objective))
+        costs, self.cost_scale = common(lp.objective)
         self.costs = []
-        for j in range(lp.n_vars):
-            pos, neg = self.var_cols[j]
-            c = self.sense_sign * _scaled(lp.objective[j], self.cost_scale)
+        for c, (_, neg) in zip(costs, self.var_cols):
+            c *= self.sense_sign
             self.costs.append(c)
             if neg is not None:
                 self.costs.append(-c)
@@ -283,14 +278,7 @@ class _Tableau:
         for k, i in enumerate(live):
             coeffs, rel, rhs = lp.rows[i]
             sign = 1 if rhs >= 0 else -1
-            scale = sign * lcm(int(rhs.denominator), *(int(a.denominator) for a in coeffs))
-            self.row_scales.append(scale)
-            self.x_num.append(_scaled(rhs, scale))
-            for j in range(lp.n_vars):
-                pos, neg = self.var_cols[j]
-                a = self.columns[pos][k] = _scaled(coeffs[j], scale)
-                if neg is not None:
-                    self.columns[neg][k] = -a
+            self.x_num.append(self._set_row(k, coeffs, rhs, sign))
             eff = rel if sign > 0 else {"<=": ">=", ">=": "<=", "=": "="}[rel]
             if eff == "<=":
                 col = [0] * m
@@ -325,6 +313,21 @@ class _Tableau:
         self.in_basis = set(basis)
         self.adj = [[int(r == c) for c in range(m)] for r in range(m)]
         self.det = 1
+
+    def _set_row(self, k, coeffs, rhs, sign):
+        """Write row k over one denominator, times sign, into the columns.
+
+        Records the row's scale, sign times that denominator, and returns
+        the row's scaled right-hand side.
+        """
+        ints, scale = common([*coeffs, rhs])
+        self.row_scales.append(sign * scale)
+        for a, (pos, neg) in zip(ints, self.var_cols):
+            a *= sign
+            self.columns[pos][k] = a
+            if neg is not None:
+                self.columns[neg][k] = -a
+        return sign * ints[-1]
 
     def _prices(self, costs):
         """y = c_B . adj: the simplex multipliers times det."""
@@ -428,15 +431,9 @@ class _Tableau:
     def add_row(self, i, row):
         """Border the optimal basis with row i of the program and its slack."""
         coeffs, rel, rhs = row
-        sign = 1 if rel == "<=" else -1
-        scale = sign * lcm(int(rhs.denominator), *(int(a.denominator) for a in coeffs))
         for col in self.columns:
             col.append(0)
-        for j, a in enumerate(coeffs):
-            pos, neg = self.var_cols[j]
-            v = self.columns[pos][-1] = _scaled(a, scale)
-            if neg is not None:
-                self.columns[neg][-1] = -v
+        b = self._set_row(self.m, coeffs, rhs, 1 if rel == "<=" else -1)
         r_b = [self.columns[j][-1] for j in self.basis]
         border = [0] * self.m
         for r, row in zip(r_b, self.adj):
@@ -446,15 +443,12 @@ class _Tableau:
             row.append(0)
         border.append(self.det)
         self.adj.append(border)
-        self.x_num.append(
-            self.det * _scaled(rhs, scale) - sum([r * v for r, v in zip(r_b, self.x_num)])
-        )
+        self.x_num.append(self.det * b - sum([r * v for r, v in zip(r_b, self.x_num)]))
         self.columns.append([0] * self.m + [1])
         self.costs.append(0)
         self.basis.append(len(self.columns) - 1)
         self.in_basis.add(self.basis[-1])
         self.live_rows.append(i)
-        self.row_scales.append(scale)
         self.m += 1
 
     def dual_simplex(self):
@@ -487,35 +481,28 @@ class _Tableau:
 
     def original_x(self):
         values = dict(zip(self.basis, self.x_num))
+        zero = Fraction(0)
         x = []
         for pos, neg in self.var_cols:
             v = values.get(pos, 0)
             if neg is not None:
                 v -= values.get(neg, 0)
-            x.append(rat(v, self.det) if v else ZERO)
+            x.append(Fraction(v, self.det) if v else zero)
         return x
 
     def original_objective(self):
         value = sum([self.costs[j] * v for j, v in zip(self.basis, self.x_num)])
-        return rat(self.sense_sign * value, self.det * self.cost_scale)
+        return Fraction(self.sense_sign * value, self.det * self.cost_scale)
 
     def original_duals(self, n_rows):
         y = self._prices(self.costs)
         den = self.det * self.cost_scale
-        duals = [ZERO] * n_rows
+        duals = [Fraction(0)] * n_rows
         for k, i in enumerate(self.live_rows):
-            duals[i] = rat(self.sense_sign * y[k] * self.row_scales[k], den)
+            duals[i] = Fraction(self.sense_sign * y[k] * self.row_scales[k], den)
         return duals
 
 
 def _exact(value):
-    """An integral value as an int, any other as the kernel rational."""
-    if type(value) is int:
-        return value
-    q = as_rat(value)
-    return int(q.numerator) if q.denominator == 1 else q
-
-
-def _scaled(q, scale):
-    """The integer q * scale, for a rational q whose denominator divides scale."""
-    return int(q.numerator) * (scale // int(q.denominator))
+    """An int as it is, anything else through the as_rat guard."""
+    return value if type(value) is int else as_rat(value)

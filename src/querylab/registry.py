@@ -15,7 +15,7 @@ from fractions import Fraction
 from .constructions import compose, direct_sum
 from .core import enumerate_functions
 from .games import best_response
-from .rational import rat_str, to_fraction
+from .rational import rat_str
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class TheoremCheck:
 def _detail(**parts):
     rendered = {}
     for key, value in parts.items():
-        if isinstance(value, (int, Fraction)) or type(value).__name__ == "mpq":
+        if isinstance(value, (int, Fraction)):
             rendered[key] = rat_str(value)
         else:
             rendered[key] = value

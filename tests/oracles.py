@@ -202,6 +202,26 @@ def oracle_lp_vertices(sense, objective, rows):
     return best
 
 
+def oracle_fractional_bs(f, x):
+    """Fractional block sensitivity of a Boolean f at x, from scratch.
+
+    Flips every nonempty set of positions of x by integer masks; a flip that
+    lands in the domain on another label is a sensitive block.  The packing
+    LP (weight per block, at most 1 through each position) is solved by
+    vertex enumeration.
+    """
+    n = f.arity
+    blocks = []
+    for mask in range(1, 2**n):
+        y = "".join(str(int(c) ^ (mask >> i & 1)) for i, c in enumerate(x))
+        if y in f.domain and f(y) != f(x):
+            blocks.append(mask)
+    if not blocks:
+        return Fraction(0)
+    rows = [([b >> i & 1 for b in blocks], "<=", 1) for i in range(n)]
+    return oracle_lp_vertices("max", [1] * len(blocks), rows)
+
+
 def oracle_verify(solution, lp):
     """The LP audit in Fraction arithmetic, row by row and variable by variable.
 

@@ -335,11 +335,6 @@ def test_bounds_missing_flag_exit_2(capsys):
     assert code == 2
 
 
-def test_seedless_flag_accepted(capsys):
-    code, _, _ = run(capsys, "measure", "tt:1:01", "--measures", "D", "--seedless")
-    assert code == 0
-
-
 def test_limit_arity_override_warns(capsys):
     code, out, err = run(
         capsys, "measure", "tt:2:0111", "--measures", "D", "--limit-arity", "6",

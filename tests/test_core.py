@@ -1,19 +1,15 @@
-"""Literals, canonical encodings, knowledge states, and family enumeration."""
+"""Literals, canonical encodings, and family enumeration."""
 
 import pytest
 
 from querylab import (
-    InconsistentStateError,
-    KnowledgeState,
     LimitExceeded,
     ParseError,
     QueryFunction,
     UndefinedValueError,
     canonical_encoding,
-    consistent_inputs,
     enumerate_functions,
     input_sort_key,
-    is_certificate,
     parse_function,
 )
 
@@ -123,39 +119,6 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != parse_function("tt:2:0110")
-
-
-def test_knowledge_state_reveal():
-    s = KnowledgeState.initial(2)
-    assert s.queries == 0
-    t = s.reveal(0, "1")
-    assert t.queries == 1
-    assert s.queries == 0  # immutable
-    u = t.reveal(1, "0")
-    assert u.queries == 2
-    with pytest.raises(ValueError):
-        t.reveal(0, "0")  # position already revealed
-    with pytest.raises(IndexError):
-        s.reveal(5, "0")  # out of range
-
-
-def test_consistent_inputs():
-    f = parse_function("tt:2:0111")
-    s = KnowledgeState.initial(2).reveal(0, "0")
-    assert consistent_inputs(f, s) == frozenset({"00", "01"})
-
-
-def test_is_certificate():
-    f = parse_function("tt:2:0111")
-    one = KnowledgeState.initial(2).reveal(0, "1")
-    zero = KnowledgeState.initial(2).reveal(0, "0")
-    assert is_certificate(f, one)
-    assert not is_certificate(f, zero)
-    # a revealed symbol no domain input matches leaves nothing consistent
-    partial = parse_function("tt:2:0--1")
-    odd = KnowledgeState.initial(2).reveal(0, "0").reveal(1, "1")
-    with pytest.raises(InconsistentStateError):
-        is_certificate(partial, odd)
 
 
 def test_enumerate_all_total():

@@ -34,13 +34,13 @@ def test_demo_imports_are_public():
         assert not missing, (path.name, missing)
 
 
-# 04_composition_products takes about 18 s, so it only gets the import check.
 @pytest.mark.parametrize(
     "name",
     [
         "01_functions_and_trees.py",
         "02_sabotage_game.py",
         "03_measure_landscape.py",
+        "04_composition_products.py",
         "05_error_tradeoffs.py",
     ],
 )

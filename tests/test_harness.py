@@ -1,5 +1,6 @@
 """Measure dispatch, caching, limits, and report shape."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -11,9 +12,11 @@ from querylab import (
     LimitExceeded,
     MeasureContext,
     MeasureError,
+    enumerate_functions,
     parse_function,
     parse_measure,
 )
+from querylab.harness import MEASURE_NAMES
 
 
 def test_parse_measure_specs():
@@ -156,3 +159,24 @@ def test_cache_files_have_no_timing(tmp_path):
         assert set(entry) == {
             "engine_version", "function", "measure", "value", "certificates",
         }
+
+
+# The report bytes each engine version produces.  A change that alters any
+# value, certificate or report field must bump ENGINE_VERSION (cached entries
+# are keyed by it) and pin the new digest here.
+REPORT_DIGESTS = {
+    "0.2.0": "ac1ebf946cb26d273f1c33842a3383d7e78c2c2550f19370e30570edce7c3237",
+}
+
+
+def test_report_bytes_pinned_to_engine_version():
+    ctx = MeasureContext()
+    reports = []
+    for f in [*enumerate_functions("all-total:2"), "tt:3:00010111"]:
+        report = ctx.report(f, list(MEASURE_NAMES))
+        del report["elapsed_ms"]
+        reports.append(report)
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS.get(ENGINE_VERSION), (
+        f"reports changed under engine version {ENGINE_VERSION}; bump it"
+    )

@@ -2,8 +2,9 @@
 
 Random partial Boolean functions (and their sabotaged versions) are checked
 against the independent reference implementations in oracles.py: tree
-depth, best responses under random weights, and game values.  Examples are
-derandomized, so every run draws the same cases.
+depth, best responses under random weights, game values, and fractional
+block sensitivity.  Examples are derandomized, so every run draws the same
+cases.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from querylab import (
     best_response,
     det_complexity,
+    fractional_block_sensitivity,
     parse_function,
     sabotage,
     solve_expected_game,
@@ -21,7 +23,12 @@ from querylab import (
     walk,
 )
 
-from oracles import enumerate_strategies, oracle_det, oracle_game_value
+from oracles import (
+    enumerate_strategies,
+    oracle_det,
+    oracle_fractional_bs,
+    oracle_game_value,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 TOL = 1e-9
@@ -113,3 +120,13 @@ def test_best_response_on_sabotaged_functions(instance):
 def test_game_value_matches_oracle(f, eps):
     value = solve_expected_game(f, eps).value
     assert abs(float(value) - oracle_game_value(f, eps)) < TOL
+
+
+@PROPERTY
+@given(partial_functions(3))
+def test_fractional_block_sensitivity_matches_oracle(f):
+    overall, per_input = fractional_block_sensitivity(f)
+    expected = {x: oracle_fractional_bs(f, x) for x in f.domain}
+    assert per_input == expected
+    assert all(type(v) is Fraction for v in per_input.values())
+    assert overall == max(expected.values())

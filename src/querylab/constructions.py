@@ -7,13 +7,17 @@ algorithm such a pattern with its blanks written either as '*' (label 0) or
 as '+' (label 1), and the algorithm must name which blank symbol was used.
 Locating any blank settles it, so the sabotaged function's cost is the cost
 of finding a blank.
+
+ambiguous_patterns reads the subcube label table (see det).  For Boolean f,
+index order over the digits 0, 1 and the top free digit ('*') is product
+order over "01*", the order that callers and frozen values have always seen.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .core import BOOLEAN_ALPHABET, DAGGER, STAR, QueryFunction
+from .core import BOOLEAN_ALPHABET, DAGGER, STAR, QueryFunction, subcube_labels
 
 
 class ConstructionError(ValueError):
@@ -53,17 +57,8 @@ def ambiguous_patterns(f):
     """Patterns over {0,1,*} consistent with both output labels of f."""
     _require_boolean_output(f, "sabotage")
     _require_boolean_input(f, "sabotage")
-    out = []
-    for cells in product("01" + STAR, repeat=f.arity):
-        p = "".join(cells)
-        seen = set()
-        for x in f.domain:
-            if matches(p, x):
-                seen.add(f.table[x])
-                if len(seen) == 2:
-                    out.append(p)
-                    break
-    return out
+    patterns = product("01" + STAR, repeat=f.arity)
+    return ["".join(p) for p, mask in zip(patterns, subcube_labels(f)) if mask == 3]
 
 
 def sabotage(f):
@@ -73,16 +68,13 @@ def sabotage(f):
     constant (or otherwise unambiguous) f yields an empty domain.
     """
     stars = ambiguous_patterns(f)
-    daggers = [p.replace(STAR, DAGGER) for p in stars]
-    return SabotagedFunction(f, stars, daggers)
+    return SabotagedFunction(f, stars, [p.replace(STAR, DAGGER) for p in stars])
 
 
 def unique_sabotage(f):
     """Restriction of sabotage(f) to patterns with exactly one blank."""
-    sab = sabotage(f)
-    stars = [p for p in sab.star_inputs if p.count(STAR) == 1]
-    daggers = [p for p in sab.dagger_inputs if p.count(DAGGER) == 1]
-    return SabotagedFunction(f, stars, daggers)
+    stars = [p for p in ambiguous_patterns(f) if p.count(STAR) == 1]
+    return SabotagedFunction(f, stars, [p.replace(STAR, DAGGER) for p in stars])
 
 
 def compose(f, g):

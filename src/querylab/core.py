@@ -25,11 +25,15 @@ encodable as ext:<n>:{} for cache keys but is rejected by parse_function.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import methodcaller, or_
+
 STAR = "*"
 DAGGER = "+"  # ASCII stand-in for the dagger mark
 BOOLEAN_ALPHABET = "01"
 FOUR_LETTER_ALPHABET = "01*+"
 SYMBOL_RANK = {"0": 0, "1": 1, STAR: 2, DAGGER: 3}
+RANK_DIGITS = str.maketrans(FOUR_LETTER_ALPHABET, "0123")
 
 
 class ParseError(ValueError):
@@ -52,14 +56,14 @@ class AuditError(AssertionError):
 
 
 def input_sort_key(x):
-    """Sort key realizing the symbol order 0 < 1 < * < +."""
+    """Sort key for 0 < 1 < * < +, the order that x.translate(RANK_DIGITS) gives."""
     return tuple(SYMBOL_RANK[c] for c in x)
 
 
 class QueryFunction:
     """An immutable partial function from length-n query strings to labels."""
 
-    __slots__ = ("arity", "table", "_domain", "_encoding", "_hash")
+    __slots__ = ("arity", "table", "alphabet", "_domain", "_encoding", "_hash")
 
     def __init__(self, arity, table):
         if not isinstance(arity, int) or arity < 1:
@@ -68,14 +72,16 @@ class QueryFunction:
         for x, label in table.items():
             if len(x) != arity:
                 raise ValueError(f"domain string {x!r} does not have length {arity}")
-            if any(c not in SYMBOL_RANK for c in x):
+            if x.strip(FOUR_LETTER_ALPHABET):
                 raise ValueError(f"domain string {x!r} has symbols outside 01*+")
-            if not label or any(c not in "01" for c in label):
+            if not label or label.strip("01"):
                 raise ValueError(f"label {label!r} is not a nonempty string over 01")
             clean[x] = label
         self.arity = arity
         self.table = clean
-        self._domain = tuple(sorted(clean, key=input_sort_key))
+        self._domain = tuple(sorted(clean, key=methodcaller("translate", RANK_DIGITS)))
+        four = "".join(clean).strip(BOOLEAN_ALPHABET)  # a '*' or '+' stops the strip
+        self.alphabet = FOUR_LETTER_ALPHABET if four else BOOLEAN_ALPHABET
         self._encoding = None
         self._hash = None
 
@@ -83,12 +89,6 @@ class QueryFunction:
     def domain(self):
         """Domain strings in canonical order."""
         return self._domain
-
-    @property
-    def alphabet(self):
-        if any(STAR in x or DAGGER in x for x in self._domain):
-            return FOUR_LETTER_ALPHABET
-        return BOOLEAN_ALPHABET
 
     @property
     def is_total(self):
@@ -123,6 +123,22 @@ class QueryFunction:
         if self._encoding is None:
             self._encoding = canonical_encoding(self)
         return self._encoding
+
+
+def subcube_labels(f):
+    """Mask of the labels that each subcube meets; see det's module docstring."""
+    k = len(f.alphabet)
+    bits = {label: 1 << j for j, label in enumerate(f.labels())}
+    table = [0] * (k + 1) ** f.arity
+    for x, label in f.table.items():
+        table[int(x.translate(RANK_DIGITS), k + 1)] = bits[label]
+    free = [0]  # place value of each index's lowest free digit, 0 if none
+    for _ in range(f.arity):
+        free = [1 if d == k else (k + 1) * w for w in free for d in range(k + 1)]
+    for i, w in enumerate(free):
+        if w:
+            table[i] = reduce(or_, table[i - k * w:i:w])
+    return table
 
 
 def canonical_encoding(f):

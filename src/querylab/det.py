@@ -14,15 +14,22 @@ into.  det_complexity combines by 1 + max and forbids erring leaves; a best
 response adds the set's query weight to the sum of the parts.  A part with
 infinite value rules its query out.  Ties keep the leaf, then the lowest
 position; children follow the alphabet's symbol order.
+
+C and sabotage read core.subcube_labels: entry i is the mask of labels (bit
+j for f.labels()[j]) met in the subcube of the pattern whose base-(k+1)
+numeral is i, first position most significant, over f's k symbol ranks and
+the top digit k for a free position.  At a free digit an entry ORs the k
+patterns fixing it, which have smaller indices, so one increasing pass fills
+the table.  C(x) is the fewest fixed positions of a pattern through x whose
+mask is x's label; bs flips block b of x as x ^ b on int(x, 2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import inf
 
-from .core import AuditError
+from .core import RANK_DIGITS, SYMBOL_RANK, AuditError, subcube_labels
 from .lp import LinearProgram, solve_lp
 from .trees import Leaf, Node
 
@@ -114,86 +121,74 @@ def det_complexity(f, with_tree=False):
     return (depth, tree) if with_tree else depth
 
 
-def _certifies(f, x, positions):
-    """Does revealing x at these positions pin the label down?"""
-    label = f.table[x]
-    for y in f.domain:
-        if all(y[i] == x[i] for i in positions) and f.table[y] != label:
-            return False
-    return True
-
-
 def certificate_complexity(f):
     """Smallest certificate size per input, and the max over the domain."""
+    table, k = subcube_labels(f), len(f.alphabet)
     per_input = {}
     for x in f.domain:
-        found = None
-        for size in range(f.arity + 1):
-            for positions in combinations(range(f.arity), size):
-                if _certifies(f, x, positions):
-                    found = size
-                    break
-            if found is not None:
-                break
-        per_input[x] = found
-    overall = max(per_input.values(), default=0)
-    return overall, per_input
+        at = int(x.translate(RANK_DIGITS), k + 1)
+        cells = [(at, f.arity)]  # (pattern through x, fixed positions)
+        for i, s in enumerate(x):
+            step = (k - SYMBOL_RANK[s]) * (k + 1) ** (f.arity - 1 - i)
+            cells += [(p + step, fixed - 1) for p, fixed in cells]
+        per_input[x] = min(fixed for p, fixed in cells if table[p] == table[at])
+    return max(per_input.values(), default=0), per_input
 
 
-def _require_boolean(f, what):
+def _sensitive(f):
+    """Sensitive blocks of each input, smallest first, ties in position order."""
     if f.alphabet != "01" or any(len(v) != 1 for v in f.table.values()):
-        raise ValueError(f"{what} is defined for Boolean functions only")
+        raise ValueError("block sensitivity is defined for Boolean functions only")
+    n = f.arity
+    cells = [f.table.get(format(i, f"0{n}b")) for i in range(1 << n)]
+    order = sorted(range(1, 1 << n), key=lambda b: (b.bit_count(), -b))
+    return {x: [b for b in order if cells[int(x, 2) ^ b] not in (None, f.table[x])]
+            for x in f.domain}
 
 
-def sensitive_blocks(f, x):
-    """All nonempty position sets whose flip stays in the domain and changes f."""
-    _require_boolean(f, "block sensitivity")
-    label = f.table[x]
-    blocks = []
-    for size in range(1, f.arity + 1):
-        for positions in combinations(range(f.arity), size):
-            block = frozenset(positions)
-            y = "".join(
-                ("1" if c == "0" else "0") if i in block else c
-                for i, c in enumerate(x)
-            )
-            if y in f.table and f.table[y] != label:
-                blocks.append(block)
-    return blocks
-
-
-def minimal_sensitive_blocks(f, x):
-    blocks = sensitive_blocks(f, x)
-    block_set = set(blocks)
+def _minimal(blocks):
+    """Blocks with no sensitive proper subset; blocks come smallest first."""
     out = []
     for b in blocks:
-        if not any(other < b for other in block_set):
+        for m in out:
+            if m & b == m:
+                break
+        else:
             out.append(b)
     return out
 
 
+def _pack(blocks, used=0):
+    """Largest number of pairwise disjoint masks, by exhaustive packing."""
+    best = 0
+    for i, b in enumerate(blocks):
+        if not b & used:
+            best = max(best, 1 + _pack(blocks[i + 1:], used | b))
+    return best
+
+
+def _positions(n, b):
+    return frozenset(i for i in range(n) if b >> (n - 1 - i) & 1)
+
+
+def sensitive_blocks(f, x):
+    """All nonempty position sets whose flip stays in the domain and changes f."""
+    return [_positions(f.arity, b) for b in _sensitive(f)[x]]
+
+
+def minimal_sensitive_blocks(f, x):
+    return [_positions(f.arity, b) for b in _minimal(_sensitive(f)[x])]
+
+
 def max_disjoint(blocks):
     """Largest number of pairwise disjoint blocks, by exhaustive packing."""
-    ordered = sorted(blocks, key=lambda b: (len(b), sorted(b)))
-
-    def rec(i, used):
-        if i == len(ordered):
-            return 0
-        best = rec(i + 1, used)
-        if not (ordered[i] & used):
-            best = max(best, 1 + rec(i + 1, used | ordered[i]))
-        return best
-
-    return rec(0, frozenset())
+    return _pack([sum(1 << i for i in b) for b in blocks])
 
 
 def block_sensitivity(f):
     """Max number of disjoint sensitive blocks, per input and overall."""
-    per_input = {}
-    for x in f.domain:
-        per_input[x] = max_disjoint(minimal_sensitive_blocks(f, x))
-    overall = max(per_input.values(), default=0)
-    return overall, per_input
+    per_input = {x: _pack(_minimal(bl)) for x, bl in _sensitive(f).items()}
+    return max(per_input.values(), default=0), per_input
 
 
 def fractional_block_sensitivity(f):
@@ -202,18 +197,15 @@ def fractional_block_sensitivity(f):
     At input x: maximize total weight over sensitive blocks subject to each
     position carrying at most weight 1.
     """
+    n = f.arity
     per_input = {}
-    for x in f.domain:
-        blocks = sensitive_blocks(f, x)
+    for x, blocks in _sensitive(f).items():
         if not blocks:
             per_input[x] = Fraction(0)
             continue
-        rows = []
-        for i in range(f.arity):
-            rows.append(([1 if i in b else 0 for b in blocks], "<=", 1))
+        rows = [([b >> (n - 1 - i) & 1 for b in blocks], "<=", 1) for i in range(n)]
         sol = solve_lp(LinearProgram("max", [1] * len(blocks), rows))
         if sol.status != "optimal":
             raise AuditError(f"block-packing LP at {x!r} is {sol.status}")
         per_input[x] = sol.objective
-    overall = max(per_input.values(), default=Fraction(0))
-    return overall, per_input
+    return max(per_input.values(), default=Fraction(0)), per_input

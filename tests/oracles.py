@@ -4,9 +4,11 @@ Nothing here shares algorithms with the package: decision trees are
 enumerated exhaustively instead of priced, mixtures are optimized with
 scipy's float LP instead of exact column generation, the deterministic
 recursion carries explicit assignments instead of memoized consistent
-sets, and small LPs are solved by exact vertex enumeration instead of
-simplex.  Expected values asserted by the test suite were produced (or
-confirmed) by these oracles and then frozen.
+sets, small LPs are solved by exact vertex enumeration instead of
+simplex, and sabotage patterns, certificates and sensitive blocks are found
+by matching and flipping strings instead of the subcube table and masks.
+Expected values asserted by the test suite were produced (or confirmed) by
+these oracles and then frozen.
 """
 
 from __future__ import annotations
@@ -103,6 +105,72 @@ def enumerate_strategies(f, eps_zero, depth_budget=None, cap=200000):
 
     raw = rec(frozenset(dom), depth_budget)
     return sorted(set(raw))
+
+
+def oracle_ambiguous_patterns(f):
+    """Patterns over {0,1,*}, in product order, that match inputs of both labels."""
+    out = []
+    for cells in itertools.product("01*", repeat=f.arity):
+        p = "".join(cells)
+        seen = {f(x) for x in f.domain if all(c in ("*", y) for c, y in zip(p, x))}
+        if len(seen) == 2:
+            out.append(p)
+    return out
+
+
+def oracle_certificate(f):
+    """Smallest certificate size per input, by subset search over positions.
+
+    Positions certify x when every domain input that agrees with x on them
+    has x's label.
+    """
+    def certifies(x, positions):
+        return all(
+            f(y) == f(x) for y in f.domain if all(y[i] == x[i] for i in positions)
+        )
+
+    return {
+        x: next(
+            size
+            for size in range(f.arity + 1)
+            for positions in itertools.combinations(range(f.arity), size)
+            if certifies(x, positions)
+        )
+        for x in f.domain
+    }
+
+
+def oracle_sensitive_blocks(f, x):
+    """Sensitive and minimal sensitive blocks of x, by flipping strings.
+
+    Both lists run smallest first, ties in lexicographic position order.
+    """
+    blocks = []
+    for size in range(1, f.arity + 1):
+        for positions in itertools.combinations(range(f.arity), size):
+            y = "".join(
+                ("1" if c == "0" else "0") if i in positions else c
+                for i, c in enumerate(x)
+            )
+            if y in f.domain and f(y) != f(x):
+                blocks.append(frozenset(positions))
+    minimal = [b for b in blocks if not any(other < b for other in blocks)]
+    return blocks, minimal
+
+
+def oracle_block_sensitivity(f):
+    """Block sensitivity per input: minimal sensitive blocks, packed exhaustively."""
+
+    def pack(blocks, used):
+        if not blocks:
+            return 0
+        first, rest = blocks[0], blocks[1:]
+        best = pack(rest, used)
+        if not first & used:
+            best = max(best, 1 + pack(rest, used | first))
+        return best
+
+    return {x: pack(oracle_sensitive_blocks(f, x)[1], frozenset()) for x in f.domain}
 
 
 def oracle_game_value(f, eps):

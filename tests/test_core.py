@@ -1,5 +1,7 @@
 """Literals, canonical encodings, and family enumeration."""
 
+from itertools import product
+
 import pytest
 
 from querylab import (
@@ -12,6 +14,7 @@ from querylab import (
     input_sort_key,
     parse_function,
 )
+from querylab.core import RANK_DIGITS
 
 
 def test_tt_round_trip():
@@ -64,6 +67,16 @@ def test_symbol_rank_order():
     xs = ["++", "00", "1*", "0+", "**", "01"]
     ordered = sorted(xs, key=input_sort_key)
     assert ordered == ["00", "01", "0+", "1*", "**", "++"]
+
+
+def test_domain_order_is_input_sort_key_order():
+    strings = ["".join(p) for n in range(4) for p in product("01*+", repeat=n)]
+    by_digits = sorted(strings, key=lambda x: x.translate(RANK_DIGITS))
+    assert by_digits == sorted(strings, key=input_sort_key)
+    for n in range(1, 4):
+        table = {"".join(p): "0" for p in product("01*+", repeat=n)}
+        f = QueryFunction(n, dict(reversed(table.items())))
+        assert f.domain == tuple(sorted(table, key=input_sort_key))
 
 
 def test_canonical_encoding_empty_domain():

@@ -2,9 +2,9 @@
 
 Random partial Boolean functions (and their sabotaged versions) are checked
 against the independent reference implementations in oracles.py: tree
-depth, best responses under random weights, game values, and fractional
-block sensitivity.  Examples are derandomized, so every run draws the same
-cases.
+depth, best responses under random weights, game values, sabotage patterns,
+certificate complexity, and block sensitivity, plain and fractional.
+Examples are derandomized, so every run draws the same cases.
 """
 
 from fractions import Fraction
@@ -13,11 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from querylab import (
+    ambiguous_patterns,
     best_response,
+    block_sensitivity,
+    certificate_complexity,
     det_complexity,
+    direct_sum,
     fractional_block_sensitivity,
+    minimal_sensitive_blocks,
     parse_function,
     sabotage,
+    sensitive_blocks,
     solve_expected_game,
     tree_depth,
     walk,
@@ -25,9 +31,13 @@ from querylab import (
 
 from oracles import (
     enumerate_strategies,
+    oracle_ambiguous_patterns,
+    oracle_block_sensitivity,
+    oracle_certificate,
     oracle_det,
     oracle_fractional_bs,
     oracle_game_value,
+    oracle_sensitive_blocks,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -130,3 +140,32 @@ def test_fractional_block_sensitivity_matches_oracle(f):
     assert per_input == expected
     assert all(type(v) is Fraction for v in per_input.values())
     assert overall == max(expected.values())
+
+
+@PROPERTY
+@given(partial_functions(4))
+def test_subcube_measures_match_oracles(f):
+    assert ambiguous_patterns(f) == oracle_ambiguous_patterns(f)
+    overall, per_input = certificate_complexity(f)
+    assert per_input == oracle_certificate(f)
+    assert overall == max(per_input.values())
+    overall, per_input = block_sensitivity(f)
+    assert per_input == oracle_block_sensitivity(f)
+    assert overall == max(per_input.values())
+    for x in f.domain:
+        blocks, minimal = oracle_sensitive_blocks(f, x)
+        assert sensitive_blocks(f, x) == blocks
+        assert minimal_sensitive_blocks(f, x) == minimal
+
+
+@PROPERTY
+@given(sabotaged_functions(3))
+def test_certificate_complexity_on_sabotaged_functions(sab):
+    assert certificate_complexity(sab)[1] == oracle_certificate(sab)
+
+
+@PROPERTY
+@given(partial_functions(2))
+def test_certificate_complexity_on_multichar_labels(f):
+    pair = direct_sum(f, 2)
+    assert certificate_complexity(pair)[1] == oracle_certificate(pair)

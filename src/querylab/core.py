@@ -63,7 +63,7 @@ def input_sort_key(x):
 class QueryFunction:
     """An immutable partial function from length-n query strings to labels."""
 
-    __slots__ = ("arity", "table", "alphabet", "_domain", "_encoding", "_hash")
+    __slots__ = ("arity", "table", "alphabet", "_domain", "_encoding", "_subcubes", "_hash")
 
     def __init__(self, arity, table):
         if not isinstance(arity, int) or arity < 1:
@@ -83,6 +83,7 @@ class QueryFunction:
         four = "".join(clean).strip(BOOLEAN_ALPHABET)  # a '*' or '+' stops the strip
         self.alphabet = FOUR_LETTER_ALPHABET if four else BOOLEAN_ALPHABET
         self._encoding = None
+        self._subcubes = None
         self._hash = None
 
     @property
@@ -126,19 +127,25 @@ class QueryFunction:
 
 
 def subcube_labels(f):
-    """Mask of the labels that each subcube meets; see det's module docstring."""
-    k = len(f.alphabet)
-    bits = {label: 1 << j for j, label in enumerate(f.labels())}
-    table = [0] * (k + 1) ** f.arity
-    for x, label in f.table.items():
-        table[int(x.translate(RANK_DIGITS), k + 1)] = bits[label]
-    free = [0]  # place value of each index's lowest free digit, 0 if none
-    for _ in range(f.arity):
-        free = [1 if d == k else (k + 1) * w for w in free for d in range(k + 1)]
-    for i, w in enumerate(free):
-        if w:
-            table[i] = reduce(or_, table[i - k * w:i:w])
-    return table
+    """Mask of the labels that each subcube meets; see det's module docstring.
+
+    Built once per function and kept on it as a tuple, so that sabotage and
+    C share one table and no caller can change it.
+    """
+    if f._subcubes is None:
+        k = len(f.alphabet)
+        bits = {label: 1 << j for j, label in enumerate(f.labels())}
+        table = [0] * (k + 1) ** f.arity
+        for x, label in f.table.items():
+            table[int(x.translate(RANK_DIGITS), k + 1)] = bits[label]
+        free = [0]  # place value of each index's lowest free digit, 0 if none
+        for _ in range(f.arity):
+            free = [1 if d == k else (k + 1) * w for w in free for d in range(k + 1)]
+        for i, w in enumerate(free):
+            if w:
+                table[i] = reduce(or_, table[i - k * w:i:w])
+        f._subcubes = tuple(table)
+    return f._subcubes
 
 
 def canonical_encoding(f):

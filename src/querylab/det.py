@@ -6,14 +6,30 @@ domain inputs still consistent with the answers seen so far, held as an int
 bitmask of domain indices: two states with the same set (and the same depth
 budget left) have the same continuation value, and querying a position on
 which the set agrees is never useful, so positions that fail to split the
-set are skipped.  A set whose inputs share one label is a leaf of cost 0.
-Any other set is priced by two caller rules: the leaf rule, the cost and
-label of stopping there anyway (or forbidden), and the combine rule, the
-cost of querying a position from the values of the parts it splits the set
-into.  det_complexity combines by 1 + max and forbids erring leaves; a best
-response adds the set's query weight to the sum of the parts.  A part with
-infinite value rules its query out.  Ties keep the leaf, then the lowest
-position; children follow the alphabet's symbol order.
+set are skipped.  A set whose inputs share one label is a leaf of cost 0,
+answered before the memo and never stored in it.  Any other set may stop
+at the caller's leaf rule, the cost and label of stopping there anyway (or
+forbidden), or query a position: a query at s costs weight(s) plus a fold
+of the values of the parts it splits s into.  det_complexity uses weight 1
+and folds by max and forbids erring leaves; a best response uses the set's
+query weight, the sum of its inputs' cost weights, and folds by sum.  A
+part with infinite value rules its query out.  Ties keep the leaf, then the
+lowest position; children follow the alphabet's symbol order.
+
+Three cuts keep the search from pricing queries that cannot win:
+  * a position's parts stop being folded once weight(s) plus the fold so
+    far reaches the best cost so far;
+  * no position of s is tried when weight(s) already reaches its leaf cost;
+  * the scan over positions stops once the best cost equals weight(s).
+The last two are one test, made before each position: the best cost so far
+minus weight(s) is the cap that the position's fold must stay below.  The
+cuts rest on every value being nonnegative (best_response rejects negative
+weights), so a fold never falls and no cut drops a strictly cheaper
+position.  A query is kept only when strictly cheaper, so values, trees and
+tie-breaks are those of the search without cuts (tests/oracles.py keeps it
+as the reference).  A cut only skips parts; each part it does price is
+priced in full, so every memo entry is the exact value of its set.  The
+memo key is the bare mask, or (mask, budget left) under a depth budget.
 
 C and sabotage read core.subcube_labels: entry i is the mask of labels (bit
 j for f.labels()[j]) met in the subcube of the pattern whose base-(k+1)
@@ -42,59 +58,69 @@ def _members(s):
         s ^= low
 
 
-def _split_search(f, leaf_rule, combine, depth_budget=None):
+def _split_search(f, leaf_rule, query_weights=None, depth_budget=None):
     """Cheapest tree over f's nonempty domain; returns (cost, tree).
 
     leaf_rule(s) gives (cost, label) for stopping on a set s whose labels
-    disagree, or is None to forbid that.  combine(s, values) gives the cost
-    of a query splitting s into parts of these values.  depth_budget, when
-    given, caps the depth.  The tree is None when the cost is infinite.
+    disagree, or is None to forbid that.  Without query_weights a query costs
+    1 plus the largest value of its parts; with them, nonnegative ints per
+    domain index, it costs their sum over s plus the sum of its parts'
+    values.  depth_budget, when given, caps the depth.  The tree is None when
+    the cost is infinite.
     """
     dom = f.domain
     labels = [f.table[x] for x in dom]
     label_masks = {}
     for k, label in enumerate(labels):
         label_masks[label] = label_masks.get(label, 0) | 1 << k
+    same_label = [label_masks[label] for label in labels]
     branches = []
     for i in range(f.arity):
         per = {}
         for k, x in enumerate(dom):
             per[x[i]] = per.get(x[i], 0) | 1 << k
         branches.append([(a, per[a]) for a in f.alphabet if a in per])
-    memo = {}
+    splits = [[mask for _, mask in pairs] for pairs in branches]
+    worst_case = query_weights is None
+    memo = {}  # key: the set, or (set, budget left) under a depth budget
 
     def value(s, budget):
-        key = (s, budget)
+        low = (s & -s).bit_length() - 1
+        if s & same_label[low] == s:
+            return 0, None, labels[low]
+        key = s if budget is None else (s, budget)
         got = memo.get(key)
         if got is not None:
             return got
-        label = labels[(s & -s).bit_length() - 1]
-        if s & label_masks[label] == s:
-            best = (0, None, label)
-        else:
-            cost, label = (inf, None) if leaf_rule is None else leaf_rule(s)
-            best = (cost, None, label)
-        if best[0] != 0 and budget != 0:
+        cost, label = (inf, None) if leaf_rule is None else leaf_rule(s)
+        best = (cost, None, label)
+        if budget != 0:
+            weight = 1 if worst_case else sum([query_weights[k] for k in _members(s)])
             next_budget = None if budget is None else budget - 1
-            for i, pairs in enumerate(branches):
-                parts = [s & mask for _, mask in pairs if s & mask]
+            for i, split in enumerate(splits):
+                cap = best[0] - weight  # the parts' fold must stay below it
+                if cap <= 0:
+                    break
+                parts = [part for mask in split if (part := s & mask)]
                 if len(parts) < 2:
                     continue
-                values = []
+                fold = 0
                 for part in parts:
                     sub = value(part, next_budget)[0]
-                    if sub == inf:
+                    if worst_case:
+                        if sub > fold:
+                            fold = sub
+                    else:
+                        fold += sub
+                    if fold >= cap:
                         break
-                    values.append(sub)
                 else:
-                    cost = combine(s, values)
-                    if cost < best[0]:
-                        best = (cost, i, None)
+                    best = (weight + fold, i, None)
         memo[key] = best
         return best
 
     def build(s, budget):
-        _, position, label = memo[(s, budget)]
+        _, position, label = value(s, budget)
         if position is None:
             return Leaf(label)
         next_budget = None if budget is None else budget - 1
@@ -117,7 +143,7 @@ def det_complexity(f, with_tree=False):
     """
     if not f.domain:
         return (0, None) if with_tree else 0
-    depth, tree = _split_search(f, None, lambda s, values: 1 + max(values))
+    depth, tree = _split_search(f, None)
     return (depth, tree) if with_tree else depth
 
 

@@ -64,9 +64,10 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
     on that input; error_weights charges a wrong answer on the input, with
     None meaning errors are forbidden (leaves only at settled sets).  An
     entry of math.inf in error_weights forbids erring on that input alone.
-    depth_budget, when given, caps the tree depth.  Returns (tree, objective).
-    The search runs on ints: every finite weight is put over one common
-    denominator, and the objective is divided back at the end.
+    A negative cost or error weight raises ValueError.  depth_budget, when
+    given, caps the tree depth.  Returns (tree, objective).  The search runs
+    on ints: every finite weight is put over one common denominator, and the
+    objective is divided back at the end.
     """
     dom = f.domain
     if not dom:
@@ -78,6 +79,8 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
         for x in dom:
             w = error_weights.get(x, 0)
             beta.append(inf if type(w) is float and w == inf else _exact(w))
+    if any(w < 0 for w in alpha + (beta or [])):
+        raise ValueError("cost and error weights must be nonnegative")
     ints, scale = common(alpha + [w for w in beta or () if w is not inf])
     alpha, finite = ints[: len(dom)], iter(ints[len(dom) :])
     leaf_rule = None
@@ -100,15 +103,7 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
                     best = (cost, candidate)
             return best
 
-    weights = {}  # query weight of a set, shared by all the positions splitting it
-
-    def combine(s, values):
-        w = weights.get(s)
-        if w is None:
-            w = weights[s] = sum([alpha[i] for i in _members(s)])
-        return w + sum(values)
-
-    objective, tree = _split_search(f, leaf_rule, combine, depth_budget)
+    objective, tree = _split_search(f, leaf_rule, alpha, depth_budget)
     if objective == inf:
         raise RuntimeError("no admissible tree exists for these weights")
     return tree, Fraction(objective, scale)

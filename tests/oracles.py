@@ -9,15 +9,23 @@ simplex, and sabotage patterns, certificates and sensitive blocks are found
 by matching and flipping strings instead of the subcube table and masks.
 Expected values asserted by the test suite were produced (or confirmed) by
 these oracles and then frozen.
+
+The one exception is oracle_split_search, the package's split search as it
+stood before its cuts: it folds every part of every splitting position
+through a callback, so it is the reference for which optimal tree the cut
+search returns (leaf first on ties, then the lowest position).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 from scipy.optimize import linprog
+
+from querylab.trees import Leaf, Node
 
 
 def oracle_det(f):
@@ -49,6 +57,110 @@ def oracle_det(f):
         return best
 
     return rec({})
+
+
+def _members(s):
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+def oracle_split_search(f, leaf_rule, combine, depth_budget=None):
+    """Cheapest tree over f's nonempty domain, with no cuts; (cost, tree).
+
+    Sets are int bitmasks of domain indices.  leaf_rule(s) gives (cost,
+    label) for stopping on a set whose labels disagree, or is None to forbid
+    that; combine(s, values) prices a query from the values of all its parts.
+    A query is kept only when strictly cheaper than the best so far.
+    """
+    dom = f.domain
+    labels = [f.table[x] for x in dom]
+    label_masks = {}
+    for k, label in enumerate(labels):
+        label_masks[label] = label_masks.get(label, 0) | 1 << k
+    branches = []
+    for i in range(f.arity):
+        per = {}
+        for k, x in enumerate(dom):
+            per[x[i]] = per.get(x[i], 0) | 1 << k
+        branches.append([(a, per[a]) for a in f.alphabet if a in per])
+    memo = {}
+
+    def value(s, budget):
+        key = (s, budget)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        label = labels[(s & -s).bit_length() - 1]
+        if s & label_masks[label] == s:
+            best = (0, None, label)
+        else:
+            cost, label = (inf, None) if leaf_rule is None else leaf_rule(s)
+            best = (cost, None, label)
+        if best[0] != 0 and budget != 0:
+            next_budget = None if budget is None else budget - 1
+            for i, pairs in enumerate(branches):
+                parts = [s & mask for _, mask in pairs if s & mask]
+                if len(parts) < 2:
+                    continue
+                values = []
+                for part in parts:
+                    sub = value(part, next_budget)[0]
+                    if sub == inf:
+                        break
+                    values.append(sub)
+                else:
+                    cost = combine(s, values)
+                    if cost < best[0]:
+                        best = (cost, i, None)
+        memo[key] = best
+        return best
+
+    def build(s, budget):
+        _, position, label = memo[(s, budget)]
+        if position is None:
+            return Leaf(label)
+        next_budget = None if budget is None else budget - 1
+        children = {}
+        for a, mask in branches[position]:
+            if s & mask:
+                children[a] = build(s & mask, next_budget)
+        return Node(position, children)
+
+    full = (1 << len(dom)) - 1
+    cost = value(full, depth_budget)[0]
+    return cost, None if cost == inf else build(full, depth_budget)
+
+
+def oracle_det_tree(f):
+    """Worst-case depth and tree of f from the uncut search."""
+    return oracle_split_search(f, None, lambda s, values: 1 + max(values))
+
+
+def oracle_best_response(f, costs, errors=None, depth_budget=None):
+    """(objective, tree) of a best response from the uncut search, on Fractions.
+
+    costs and errors map inputs to query and error charges as in
+    best_response; an error charge of math.inf forbids erring there.
+    """
+    dom = f.domain
+    alpha = [Fraction(costs.get(x, 0)) for x in dom]
+    leaf_rule = None
+    if errors is not None:
+        beta = [errors.get(x, 0) for x in dom]
+
+        def leaf_rule(s):
+            priced = []
+            for label in f.labels():
+                wrong = [beta[k] for k in _members(s) if f(dom[k]) != label]
+                priced.append((sum(wrong, Fraction(0)), label))
+            return min(priced, key=lambda p: p[0])
+
+    def combine(s, values):
+        return sum(alpha[k] for k in _members(s)) + sum(values)
+
+    return oracle_split_search(f, leaf_rule, combine, depth_budget)
 
 
 def enumerate_strategies(f, eps_zero, depth_budget=None, cap=200000):

@@ -3,12 +3,16 @@
 Random partial Boolean functions (and their sabotaged versions) are checked
 against the independent reference implementations in oracles.py: tree
 depth, best responses under random weights, game values, sabotage patterns,
-certificate complexity, and block sensitivity, plain and fractional.
+certificate complexity, and block sensitivity, plain and fractional.  The
+trees themselves, not only their costs, are compared with the split search
+run without its cuts, so a cut that changed a tie-break would show.
 Examples are derandomized, so every run draws the same cases.
 """
 
 from fractions import Fraction
+from math import inf
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,15 +30,18 @@ from querylab import (
     sensitive_blocks,
     solve_expected_game,
     tree_depth,
+    tree_to_obj,
     walk,
 )
 
 from oracles import (
     enumerate_strategies,
     oracle_ambiguous_patterns,
+    oracle_best_response,
     oracle_block_sensitivity,
     oracle_certificate,
     oracle_det,
+    oracle_det_tree,
     oracle_fractional_bs,
     oracle_game_value,
     oracle_sensitive_blocks,
@@ -123,6 +130,40 @@ def test_best_response_on_partial_functions(instance):
 @given(weighted_instances(sabotaged_functions(2)))
 def test_best_response_on_sabotaged_functions(instance):
     check_best_response(*instance)
+
+
+@PROPERTY
+@given(st.one_of(partial_functions(4), sabotaged_functions(3)))
+def test_det_tree_matches_uncut_search(f):
+    depth, tree = det_complexity(f, with_tree=True)
+    expected_depth, expected_tree = oracle_det_tree(f)
+    assert depth == expected_depth
+    assert tree_to_obj(tree) == tree_to_obj(expected_tree)
+
+
+@st.composite
+def budgeted_instances(draw, functions):
+    f = draw(functions)
+    costs = {x: draw(costs_per_query) for x in f.domain}
+    budget = draw(st.sampled_from([None, *range(f.arity + 1)]))
+    if draw(st.booleans()):
+        return f, costs, None, budget
+    charges = st.one_of(error_charges, st.just(inf))
+    return f, costs, {x: draw(charges) for x in f.domain}, budget
+
+
+@PROPERTY
+@given(budgeted_instances(st.one_of(partial_functions(3), sabotaged_functions(2))))
+def test_best_response_tree_matches_uncut_search(instance):
+    f, costs, errors, budget = instance
+    objective, expected_tree = oracle_best_response(f, costs, errors, budget)
+    if objective == inf:
+        with pytest.raises(RuntimeError):
+            best_response(f, costs, errors, budget)
+        return
+    tree, value = best_response(f, costs, errors, budget)
+    assert value == objective
+    assert tree_to_obj(tree) == tree_to_obj(expected_tree)
 
 
 @PROPERTY

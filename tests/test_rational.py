@@ -2,7 +2,8 @@
 
 Fraction(0.25) would silently accept a float, so each entry point must pass
 its rationals through the as_rat guard; math.inf as an error weight is the
-one float that stays allowed.
+one float that stays allowed.  Best responses also reject negative weights,
+on which the split search's cuts would not be exact.
 """
 
 from fractions import Fraction
@@ -51,6 +52,18 @@ FLOAT_CALLS = {
 @pytest.mark.parametrize("call", FLOAT_CALLS.values(), ids=list(FLOAT_CALLS))
 def test_floats_are_rejected(call):
     with pytest.raises(TypeError):
+        call()
+
+
+NEGATIVE_CALLS = {
+    "best_response cost weight": lambda: best_response(OR2, {"00": -1, "01": 1}),
+    "best_response error weight": lambda: best_response(OR2, {}, {"01": Fraction(-1, 2)}),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_CALLS.values(), ids=list(NEGATIVE_CALLS))
+def test_negative_weights_are_rejected(call):
+    with pytest.raises(ValueError):
         call()
 
 

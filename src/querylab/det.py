@@ -58,15 +58,14 @@ def _members(s):
         s ^= low
 
 
-def _split_search(f, leaf_rule, query_weights=None, depth_budget=None):
-    """Cheapest tree over f's nonempty domain; returns (cost, tree).
+def _split_tables(f):
+    """The split search's tables of f: (labels, same_label, branches, splits).
 
-    leaf_rule(s) gives (cost, label) for stopping on a set s whose labels
-    disagree, or is None to forbid that.  Without query_weights a query costs
-    1 plus the largest value of its parts; with them, nonnegative ints per
-    domain index, it costs their sum over s plus the sum of its parts'
-    values.  depth_budget, when given, caps the depth.  The tree is None when
-    the cost is infinite.
+    labels[k] is the label of domain input k and same_label[k] the mask of
+    the inputs sharing it; branches[i] lists (symbol, mask of the inputs
+    with that symbol at position i) in alphabet order, and splits[i] those
+    masks alone.  They depend on f only, so a game builds them once for all
+    its best responses.
     """
     dom = f.domain
     labels = [f.table[x] for x in dom]
@@ -81,6 +80,21 @@ def _split_search(f, leaf_rule, query_weights=None, depth_budget=None):
             per[x[i]] = per.get(x[i], 0) | 1 << k
         branches.append([(a, per[a]) for a in f.alphabet if a in per])
     splits = [[mask for _, mask in pairs] for pairs in branches]
+    return labels, same_label, branches, splits
+
+
+def _split_search(f, leaf_rule, query_weights=None, depth_budget=None, *, tables=None):
+    """Cheapest tree over f's nonempty domain; returns (cost, tree).
+
+    leaf_rule(s) gives (cost, label) for stopping on a set s whose labels
+    disagree, or is None to forbid that.  Without query_weights a query costs
+    1 plus the largest value of its parts; with them, nonnegative ints per
+    domain index, it costs their sum over s plus the sum of its parts'
+    values.  depth_budget, when given, caps the depth.  tables, when given,
+    is _split_tables(f), built by the caller.  The tree is None when the
+    cost is infinite.
+    """
+    labels, same_label, branches, splits = tables or _split_tables(f)
     worst_case = query_weights is None
     memo = {}  # key: the set, or (set, budget left) under a depth budget
 
@@ -130,7 +144,7 @@ def _split_search(f, leaf_rule, query_weights=None, depth_budget=None):
                 children[a] = build(s & mask, next_budget)
         return Node(position, children)
 
-    full = (1 << len(dom)) - 1
+    full = (1 << len(f.domain)) - 1
     cost = value(full, depth_budget)[0]
     return cost, None if cost == inf else build(full, depth_budget)
 

@@ -9,9 +9,12 @@ and the value nu, with one cut row per tree, -column . (alpha, extras) + nu
 <= 0, saying the tree pays at least nu against alpha.  Each new tree appends
 its integer cut row to the same LinearProgram, and solve_lp resumes from the
 last optimal basis by the dual simplex.  New trees come from best_response,
-the split search of det.py on integer-scaled query costs and errors; the
-loop prices each adversary point as its ints over one denominator, which
-scales every weight alike and so changes no tree.
+the split search of det.py on integer-scaled query costs and errors, over
+split tables each game builds once for all its best responses.  The loop
+runs on ints: it reads the master's x and duals as the ints over one
+denominator that the solve returns, prices each adversary point as those
+ints, which scales every weight alike and so changes no tree, and builds
+Fractions only for the finished game.
 
 The master's optima are degenerate, and a resumed basis tends to keep the
 adversary on a few inputs, which on parity-like functions multiplied the
@@ -49,7 +52,7 @@ from fractions import Fraction
 from math import gcd, inf
 
 from .core import AuditError, LimitExceeded
-from .det import _members, _split_search
+from .det import _members, _split_search, _split_tables
 from .lp import LinearProgram, _exact, solve_lp
 from .rational import as_rat, common
 from .trees import Leaf, tree_depth, walk
@@ -57,7 +60,7 @@ from .trees import Leaf, tree_depth, walk
 _MAX_COLUMNS = 100000
 
 
-def best_response(f, cost_weights, error_weights=None, depth_budget=None):
+def best_response(f, cost_weights, error_weights=None, depth_budget=None, *, tables=None):
     """Cheapest deterministic tree against weighted query costs and errors.
 
     cost_weights maps inputs to nonnegative rationals charged per query made
@@ -65,9 +68,11 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
     None meaning errors are forbidden (leaves only at settled sets).  An
     entry of math.inf in error_weights forbids erring on that input alone.
     A negative cost or error weight raises ValueError.  depth_budget, when
-    given, caps the tree depth.  Returns (tree, objective).  The search runs
-    on ints: every finite weight is put over one common denominator, and the
-    objective is divided back at the end.
+    given, caps the tree depth.  tables, when given, is det._split_tables(f),
+    which the game solvers build once per game; the result is the same
+    without it.  Returns (tree, objective).  The search runs on ints: every
+    finite weight is put over one common denominator, and the objective is
+    divided back at the end.
     """
     dom = f.domain
     if not dom:
@@ -83,10 +88,12 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
         raise ValueError("cost and error weights must be nonnegative")
     ints, scale = common(alpha + [w for w in beta or () if w is not inf])
     alpha, finite = ints[: len(dom)], iter(ints[len(dom) :])
+    if tables is None:
+        tables = _split_tables(f)
     leaf_rule = None
     if beta is not None:
         beta = [w if w is inf else next(finite) for w in beta]
-        labels = [f.table[x] for x in dom]
+        labels = tables[0]
         label_menu = f.labels()
 
         def leaf_rule(s):
@@ -103,7 +110,7 @@ def best_response(f, cost_weights, error_weights=None, depth_budget=None):
                     best = (cost, candidate)
             return best
 
-    objective, tree = _split_search(f, leaf_rule, alpha, depth_budget)
+    objective, tree = _split_search(f, leaf_rule, alpha, depth_budget, tables=tables)
     if objective == inf:
         raise RuntimeError("no admissible tree exists for these weights")
     return tree, Fraction(objective, scale)
@@ -152,7 +159,9 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
     value.
     audit(lp_solution, response, game) returns the audit flags of the
     finished game, given the final best response's objective; all of them
-    must hold.
+    must hold.  Everything passed between the master, its audit and pricing
+    stays ints: the master's x and duals are read as sol.x_int and
+    sol.duals_int, and only the game's readout builds Fractions.
     """
     dom = f.domain
     m = len(dom)
@@ -164,15 +173,17 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
 
     def priced(ints, den):
         # A point's best response, less its penalties, bounds the value below.
+        # The response is returned, and the bound kept, as (num, den) pairs.
         nonlocal center
         g = gcd(den, *ints)
         ints, den = [v // g for v in ints], den // g
-        tree, response = price(ints)
-        response /= den
-        bound = response + Fraction(sum([p * v for p, v in zip(pen, ints[m:])]), pen_den * den)
-        if center is None or bound > center[2]:
+        tree, objective = price(ints)
+        num, r_den = objective.numerator, objective.denominator
+        penalty = sum([p * v for p, v in zip(pen, ints[m:])])
+        bound = (num * pen_den + penalty * r_den, r_den * pen_den * den)
+        if center is None or bound[0] * center[2][1] > center[2][0] * bound[1]:
             center = (ints, den, bound)
-        return tree, response
+        return tree, (num, r_den * den)
 
     trees = []
     tree = seed
@@ -184,7 +195,7 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
         sol = solve_lp(master)
         if sol.status != "optimal":
             raise AuditError(f"the adversary's LP is {sol.status}")
-        opt, d_opt = common(sol.x)
+        opt, d_opt = sol.x_int
         tree = None
         if center is not None:
             # In-out separation: first price the point a quarter of the way
@@ -197,8 +208,9 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
             if sum([a * v for a, v in zip(cut, opt)]) >= opt[-1]:
                 tree = None
         if tree is None:
-            tree, response = priced(opt, d_opt)
-            if response >= sol.x[-1]:
+            tree, (num, r_den) = priced(opt, d_opt)
+            # the response num / r_den reaches nu = opt[-1] / d_opt
+            if num * d_opt >= opt[-1] * r_den:
                 break
 
     if sum(opt[:m]) != d_opt or any(a < 0 for a in opt[:m]):
@@ -207,7 +219,8 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
     # may overshoot 1 in degenerate corners, which scaling only improves).
     # Over one denominator den the duals are the ints raw, and the mixture
     # weights are raw / total.
-    raw, den = common(sol.duals[1:])
+    raw, den = sol.duals_int
+    raw = raw[1:]
     total = sum(raw)
     if total < den or any(w < 0 for w in raw):
         raise AuditError("the tree-row duals are not a mixture")
@@ -220,14 +233,14 @@ def _solve_game(f, eps, penalties, column, price, seed, audit):
     game = GameSolution(
         value=sol.objective,
         eps=eps,
-        hard_distribution={dom[i]: sol.x[i] for i in range(m) if opt[i]},
+        hard_distribution={dom[i]: Fraction(opt[i], d_opt) for i in range(m) if opt[i]},
         support=[(t[0], Fraction(w, total)) for t, w in support],
         expected_cost=expected_cost,
         error=error,
         iterations=len(trees),
         audit=None,
     )
-    game.audit = audit(sol, response, game)
+    game.audit = audit(sol, Fraction(num, r_den), game)
     if not all(game.audit.values()):
         raise AuditError(f"game audit failed: {game.audit}")
     return game
@@ -248,23 +261,25 @@ def solve_expected_game(f, eps):
     dom = f.domain
     m = len(dom)
     zero_error = eps == 0
+    tables = _split_tables(f)
 
     def price(x):
         errors = None if zero_error else dict(zip(dom, x[m : 2 * m]))
-        return best_response(f, dict(zip(dom, x[:m])), errors)
+        return best_response(f, dict(zip(dom, x[:m])), errors, tables=tables)
 
     def audit(sol, response, game):
-        nu = sol.x[-1]
+        x, den = sol.x_int
+        nu = Fraction(x[-1], den)
         return {
             "lp_verified": sol.verified,
             "mixture_achieves_value": max(game.expected_cost.values()) == game.value,
             "mixture_error_within_budget": max(game.error.values()) <= eps,
             "best_response_cannot_beat_value": response >= nu,
-            "adversary_certifies_value": nu - eps * sum(sol.x[m:-1])
+            "adversary_certifies_value": nu - eps * Fraction(sum(x[m:-1]), den)
             == sol.objective,
         }
 
-    seed, _ = best_response(f, dict.fromkeys(dom, 1), None)
+    seed, _ = best_response(f, dict.fromkeys(dom, 1), None, tables=tables)
     if zero_error:
         return _solve_game(f, eps, [], lambda c, e: c, price, seed, audit)
     return _solve_game(f, eps, [-eps] * m, lambda c, e: c + e, price, seed, audit)
@@ -288,23 +303,25 @@ def solve_worstcase_depth(f, eps):
     eps = _check_game_args(f, eps)
     dom = f.domain
     m = len(dom)
+    tables = _split_tables(f)
 
     for depth in range(f.arity + 1):
 
         def price(x):
-            return best_response(f, {}, dict(zip(dom, x[:m])), depth)
+            return best_response(f, {}, dict(zip(dom, x[:m])), depth, tables=tables)
 
         def audit(sol, response, game):
+            x, den = sol.x_int
             return {
                 "lp_verified": sol.verified,
                 "mixture_error_at_value": max(game.error.values()) == game.value,
                 "depth_budget_respected": all(
                     tree_depth(tree) <= depth for tree, _ in game.support
                 ),
-                "best_response_cannot_beat_value": response >= sol.x[-1],
+                "best_response_cannot_beat_value": response >= Fraction(x[-1], den),
             }
 
-        seed, _ = best_response(f, {}, dict.fromkeys(dom, 1), depth)
+        seed, _ = best_response(f, {}, dict.fromkeys(dom, 1), depth, tables=tables)
         game = _solve_game(f, eps, [], lambda c, e: e, price, seed, audit)
         if game.value <= eps:
             return WorstcaseSolution(

@@ -256,7 +256,11 @@ class MeasureContext:
                 entry = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
-        if entry.get("engine_version") != ENGINE_VERSION:
+        # The key is a digest, so a file at this path may hold another
+        # function's or measure's entry; serve only one made for this request.
+        if not isinstance(entry, dict) or (
+            entry.get("engine_version"), entry.get("function"), entry.get("measure")
+        ) != (ENGINE_VERSION, f.encoding(), spec):
             return None
         return entry
 

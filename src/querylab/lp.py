@@ -1,14 +1,16 @@
 """Exact rational linear programming by two-phase revised simplex.
 
 Everything is exact; there is no floating point and no tolerance anywhere.
-A program's entries are ints and Fractions; the solution, duals and
-objective are Fractions.  Between the two everything runs on Python ints:
-each row, the costs, x and the duals are put over one denominator by
-rational.common, and the basis inverse is kept as an integer adjugate over
-its determinant, updated by the fraction-free pivot of Edmonds, "Systems of
-distinct representatives and linear algebra" (1967) and Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian elimination"
-(1968).
+A program's entries are ints and Fractions; the objective value is a
+Fraction.  Between the two everything runs on Python ints.  The program puts
+each row, and its costs, over one denominator once, when it takes them
+(rational.common), and keeps those ints next to the rational rows.  The
+basis inverse is kept as an integer adjugate over its determinant, updated
+by the fraction-free pivot of Edmonds, "Systems of distinct representatives
+and linear algebra" (1967) and Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination" (1968).  A solution keeps x and the
+duals as ints over one denominator each, read off the adjugate; their
+Fraction lists are built only when read.
 Pivoting uses Bland's rule, so the solver terminates on degenerate programs
 and is fully deterministic: identical input yields the identical basis,
 solution, and duals.
@@ -21,8 +23,9 @@ is how column generation grows one restricted master.
 
 Every optimal solve, cold or resumed, re-checks primal feasibility, dual
 feasibility, complementary slackness, and strong duality on the original
-rational program before returning, in integer arithmetic and without the
-tableau; a failure of any of these is a solver bug and raises AuditError.
+rational program before returning, in integer arithmetic on the program's
+scaled rows and the solution's ints, without the tableau; a failure of any
+of these is a solver bug and raises AuditError.
 
 Variables are nonnegative unless listed in free_vars.  Duals follow the
 standard sign conventions:
@@ -47,14 +50,22 @@ _MAX_PIVOTS = 200000
 
 
 class LinearProgram:
-    """min or max of objective . x subject to rows (coeffs, rel, rhs)."""
+    """min or max of objective . x subject to rows (coeffs, rel, rhs).
+
+    int_objective is the objective as (ints, den), and int_rows[i] is row i
+    as (ints, rhs, scale), with coeffs == ints / scale and rhs == rhs / scale
+    over the row's least common denominator scale.  Both are scaled once,
+    when the program takes them; the tableau and verify read these ints.
+    """
 
     def __init__(self, sense, objective, rows, free_vars=()):
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
         self.sense = sense
         self.objective = [_exact(c) for c in objective]
+        self.int_objective = common(self.objective)
         self.rows = []
+        self.int_rows = []
         self._tableau = None
         for coeffs, rel, rhs in rows:
             self.add_row(coeffs, rel, rhs)
@@ -74,7 +85,9 @@ class LinearProgram:
         if len(coeffs) != self.n_vars:
             raise ValueError("row length does not match objective length")
         row = ([_exact(a) for a in coeffs], rel, _exact(rhs))
+        ints, scale = common([*row[0], row[2]])
         self.rows.append(row)
+        self.int_rows.append((ints[:-1], ints[-1], scale))
         if self._tableau is not None:
             if rel == "=":
                 self._tableau = None
@@ -86,8 +99,44 @@ class LinearProgram:
         return len(self.objective)
 
 
+def _over_den(name):
+    """A public Fraction list kept as (ints, den) in the attribute name_int.
+
+    The list is built from the ints on first read; setting it replaces the
+    ints, so whatever reads name_int sees the values as set.
+    """
+    ints_attr, cache_attr = f"{name}_int", f"_{name}"
+
+    def get(solution):
+        values = getattr(solution, cache_attr)
+        if values is None and getattr(solution, ints_attr) is not None:
+            ints, den = getattr(solution, ints_attr)
+            values = [Fraction(v, den) for v in ints]
+            setattr(solution, cache_attr, values)
+        return values
+
+    def put(solution, values):
+        setattr(solution, cache_attr, values)
+        setattr(solution, ints_attr, None if values is None else common(values))
+
+    return property(get, put)
+
+
 class LPSolution:
-    __slots__ = ("status", "x", "duals", "objective", "verified")
+    """A solve's status and, when optimal, its solution, duals and objective.
+
+    x_int and duals_int hold x and the duals as (ints, den), value i being
+    ints[i] / den; an optimal solve reads them off the tableau's adjugate
+    without reducing them.  x and duals are the same values as Fraction
+    lists, built on first read.  Setting x or duals replaces the ints, so
+    verify and the game audits check the values as set; editing a list in
+    place does not reach the ints.
+    """
+
+    __slots__ = ("status", "objective", "verified", "x_int", "duals_int", "_x", "_duals")
+
+    x = _over_den("x")
+    duals = _over_den("duals")
 
     def __init__(self, status, x=None, duals=None, objective=None):
         self.status = status
@@ -102,32 +151,26 @@ class LPSolution:
     def verify(self, lp):
         """Exact primal/dual feasibility, complementary slackness, strong duality.
 
-        Runs on ints: each row, x, the duals and the costs are put over
-        common denominators, and every condition is compared with those
-        positive scales cleared.  Returns True, or raises AuditError naming
-        the first check that fails.
+        Runs on ints: the program's scaled rows and costs and the solution's
+        x_int and duals_int, with every condition compared once those
+        positive denominators are cleared.  Reads nothing of the tableau.
+        Returns True, or raises AuditError naming the first check that fails.
         """
         if self.status != "optimal":
             raise AuditError("verify applies to optimal solutions")
-        x, y = self.x, self.duals
-        if len(x) != lp.n_vars or len(y) != len(lp.rows):
-            raise AuditError("solution length does not match the program")
         # x = X / x_den, y_i = Y_i / y_den, row i = (A_i, B_i) / s_i, c = C / c_den
-        X, x_den = common(x)
+        (X, x_den), (Y, y_den) = self.x_int, self.duals_int
+        rows = lp.int_rows
+        if len(X) != lp.n_vars or len(Y) != len(rows):
+            raise AuditError("solution length does not match the program")
         for j, xv in enumerate(X):
             if j not in lp.free_vars and xv < 0:
                 raise AuditError(f"x[{j}] negative")
-        Y, y_den = common(y)
-        scales, int_rows = [], []
-        for coeffs, _, rhs in lp.rows:
-            ints, s = common([*coeffs, rhs])
-            scales.append(s)
-            int_rows.append((ints[:-1], ints[-1]))
         # y_i a_i = Z_i A_i / (y_den top), with Z_i = Y_i (top / s_i)
-        top = lcm(*scales)
-        Z = [v * (top // s) for v, s in zip(Y, scales)]
+        top = lcm(*[s for _, _, s in rows])
+        Z = [v * (top // s) for v, (_, _, s) in zip(Y, rows)]
         mx = 1 if lp.sense == "min" else -1
-        for i, ((A, B), (_, rel, _)) in enumerate(zip(int_rows, lp.rows)):
+        for i, ((A, B, _), (_, rel, _)) in enumerate(zip(rows, lp.rows)):
             lhs, rhs = sum([a * v for a, v in zip(A, X)]), B * x_den
             if rel == "<=":
                 if lhs > rhs:
@@ -144,9 +187,9 @@ class LPSolution:
             if Z[i] and lhs != rhs:
                 raise AuditError(f"complementary slackness on row {i}")
         # reduced costs times c_den y_den top: C_j y_den top - c_den sum_i Z_i A_ij
-        C, c_den = common(lp.objective)
+        C, c_den = lp.int_objective
         priced = [0] * lp.n_vars
-        for z, (A, _) in zip(Z, int_rows):
+        for z, (A, _, _) in zip(Z, rows):
             if z:
                 priced = [u + z * a for u, a in zip(priced, A)]
         for j in range(lp.n_vars):
@@ -160,7 +203,7 @@ class LPSolution:
                 raise AuditError(f"complementary slackness on var {j}")
         # c . x = primal / (c_den x_den) and y . b = dual / (y_den top)
         primal = sum([c * v for c, v in zip(C, X)])
-        dual = sum([z * B for z, (_, B) in zip(Z, int_rows)])
+        dual = sum([z * B for z, (_, B, _) in zip(Z, rows)])
         if primal * y_den * top != dual * c_den * x_den:
             raise AuditError("strong duality failed")
         objective = self.objective
@@ -195,7 +238,8 @@ def check_feasible(lp):
     tab = _Tableau(lp, frozenset())
     if not tab.phase1():
         return False, None
-    return True, tab.original_x()
+    ints, den = tab.original_x()
+    return True, [Fraction(v, den) for v in ints]
 
 
 def _solve(lp, dropped):
@@ -214,19 +258,18 @@ def _solve(lp, dropped):
 def _optimum(lp, tab):
     """The optimal solution of an optimal tableau, which lp keeps for add_row."""
     lp._tableau = tab
-    return LPSolution(
-        "optimal",
-        x=tab.original_x(),
-        duals=tab.original_duals(len(lp.rows)),
-        objective=tab.original_objective(),
-    )
+    solution = LPSolution("optimal", objective=tab.original_objective())
+    solution.x_int = tab.original_x()
+    solution.duals_int = tab.original_duals(len(lp.rows))
+    return solution
 
 
 class _Tableau:
     """Fraction-free revised simplex for min c.x, A x = b, x >= 0.
 
-    Live rows are scaled to integers by a sign times the lcm of their
-    denominators, the costs by the lcm of theirs.  B^-1 is kept as the integer
+    Live rows are the program's integer rows times a sign, so each is scaled
+    by a sign times the lcm of its denominators; the costs are the program's
+    integer costs, scaled by the lcm of theirs.  B^-1 is kept as the integer
     adjugate adj = det * B^-1 over det > 0, with x_num = adj . b.  A pivot on
     d = adj . a_j at row l sets adj[r] = (adj[r] d[l] - d[r] adj[l]) // det for
     r != l, then det = d[l]; Sylvester's identity makes each division exact
@@ -263,7 +306,8 @@ class _Tableau:
         self.live_rows = live = [i for i in range(len(lp.rows)) if i not in dropped]
         self.m = m = len(live)
         self.columns = [[0] * m for _ in range(n_cols)]
-        costs, self.cost_scale = common(lp.objective)
+        self.int_rows = lp.int_rows  # the program's, read but never written
+        costs, self.cost_scale = lp.int_objective
         self.costs = []
         for c, (_, neg) in zip(costs, self.var_cols):
             c *= self.sense_sign
@@ -276,9 +320,9 @@ class _Tableau:
         basis = []
         art_rows = []
         for k, i in enumerate(live):
-            coeffs, rel, rhs = lp.rows[i]
-            sign = 1 if rhs >= 0 else -1
-            self.x_num.append(self._set_row(k, coeffs, rhs, sign))
+            rel = lp.rows[i][1]
+            sign = 1 if self.int_rows[i][1] >= 0 else -1
+            self.x_num.append(self._set_row(k, i, sign))
             eff = rel if sign > 0 else {"<=": ">=", ">=": "<=", "=": "="}[rel]
             if eff == "<=":
                 col = [0] * m
@@ -314,20 +358,20 @@ class _Tableau:
         self.adj = [[int(r == c) for c in range(m)] for r in range(m)]
         self.det = 1
 
-    def _set_row(self, k, coeffs, rhs, sign):
-        """Write row k over one denominator, times sign, into the columns.
+    def _set_row(self, k, i, sign):
+        """Write program row i's ints, times sign, into the columns as row k.
 
-        Records the row's scale, sign times that denominator, and returns
-        the row's scaled right-hand side.
+        Records the row's scale, sign times its denominator, and returns the
+        row's scaled right-hand side.
         """
-        ints, scale = common([*coeffs, rhs])
+        ints, rhs, scale = self.int_rows[i]
         self.row_scales.append(sign * scale)
         for a, (pos, neg) in zip(ints, self.var_cols):
             a *= sign
             self.columns[pos][k] = a
             if neg is not None:
                 self.columns[neg][k] = -a
-        return sign * ints[-1]
+        return sign * rhs
 
     def _prices(self, costs):
         """y = c_B . adj: the simplex multipliers times det."""
@@ -429,11 +473,13 @@ class _Tableau:
         return self._run(self.costs, range(len(self.columns)))
 
     def add_row(self, i, row):
-        """Border the optimal basis with row i of the program and its slack."""
-        coeffs, rel, rhs = row
+        """Border the optimal basis with row i of the program and its slack.
+
+        row is the program's rational row; its ints come from int_rows[i].
+        """
         for col in self.columns:
             col.append(0)
-        b = self._set_row(self.m, coeffs, rhs, 1 if rel == "<=" else -1)
+        b = self._set_row(self.m, i, 1 if row[1] == "<=" else -1)
         r_b = [self.columns[j][-1] for j in self.basis]
         border = [0] * self.m
         for r, row in zip(r_b, self.adj):
@@ -480,27 +526,27 @@ class _Tableau:
         raise LimitExceeded("dual simplex did not terminate (pivot cap reached)")
 
     def original_x(self):
+        """x of the original program as (ints, det)."""
         values = dict(zip(self.basis, self.x_num))
-        zero = Fraction(0)
         x = []
         for pos, neg in self.var_cols:
             v = values.get(pos, 0)
             if neg is not None:
                 v -= values.get(neg, 0)
-            x.append(Fraction(v, self.det) if v else zero)
-        return x
+            x.append(v)
+        return x, self.det
 
     def original_objective(self):
         value = sum([self.costs[j] * v for j, v in zip(self.basis, self.x_num)])
         return Fraction(self.sense_sign * value, self.det * self.cost_scale)
 
     def original_duals(self, n_rows):
+        """The duals of the program's n_rows rows as (ints, det * cost_scale)."""
         y = self._prices(self.costs)
-        den = self.det * self.cost_scale
-        duals = [Fraction(0)] * n_rows
+        duals = [0] * n_rows
         for k, i in enumerate(self.live_rows):
-            duals[i] = Fraction(self.sense_sign * y[k] * self.row_scales[k], den)
-        return duals
+            duals[i] = self.sense_sign * y[k] * self.row_scales[k]
+        return duals, self.det * self.cost_scale
 
 
 def _exact(value):

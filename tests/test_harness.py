@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,26 @@ def test_disk_cache_survives_corrupt_files(tmp_path):
     with open(digest_path, "w") as handle:
         handle.write("not json")
     assert ctx.measure("tt:1:01", "D") == 1
+
+
+def test_disk_cache_serves_only_its_own_entry(tmp_path):
+    cache = str(tmp_path / "cache")
+    maj3, dictator = parse_function("tt:3:00010111"), parse_function("tt:3:00001111")
+    first = MeasureContext(cache_dir=cache)
+    assert first.measure(maj3, "R0") == Fraction(8, 3)
+    assert first.measure(maj3, "D") == 3
+    # MAJ3's R0 entry at the dictator's R0 path: another function's entry
+    shutil.copy(first._cache_path(maj3, "R0"), first._cache_path(dictator, "R0"))
+    fresh = MeasureContext(cache_dir=cache)
+    assert fresh.measure(dictator, "R0") == 1
+    with open(fresh._cache_path(dictator, "R0")) as handle:
+        assert json.load(handle)["function"] == dictator.encoding()  # overwritten
+    # MAJ3's D entry at MAJ3's R0 path: another measure's entry
+    shutil.copy(first._cache_path(maj3, "D"), first._cache_path(maj3, "R0"))
+    fresh = MeasureContext(cache_dir=cache)
+    assert fresh.measure(maj3, "R0") == Fraction(8, 3)
+    with open(fresh._cache_path(maj3, "R0")) as handle:
+        assert json.load(handle)["measure"] == "R0"
 
 
 def test_cache_files_have_no_timing(tmp_path):

@@ -3,7 +3,9 @@
 The kernel tests at the end run every pivot of the integer tableau under a
 check of its invariants: adj . B == det . I and adj . b == x_num, det > 0,
 also across rows appended to a solved program.  The integer audit is held
-to the Fraction one in oracles.py.
+to the Fraction one in oracles.py, and the program's integer rows, scaled
+once when it takes them, are held to its rational rows; the audit's verdict
+must not change when the kept tableau is discarded or overwritten.
 """
 
 from contextlib import contextmanager
@@ -395,3 +397,61 @@ def test_integer_verify_matches_oracle(lp_data, target, index, delta):
         values[index % len(values)] += delta
         setattr(sol, target, values)
     assert _verdict(sol, program) == oracle_verify(sol, program)
+
+
+def _damage(program, how):
+    """Discard the program's kept tableau, or overwrite all it computed."""
+    tab = program._tableau
+    if how == "discard":
+        program._tableau = None
+        return
+    m = tab.m
+    tab.adj = [[0] * m for _ in range(m)]
+    tab.columns = [[0] * m for _ in tab.columns]
+    tab.x_num, tab.row_scales, tab.costs = [-1] * m, [0] * m, [1] * len(tab.costs)
+    tab.det = tab.cost_scale = 0
+    tab.int_rows = None  # rebinds the tableau's name only; the program keeps its rows
+
+
+def _check_int_rows(program):
+    ints, den = program.int_objective
+    assert den > 0 and [Fraction(c, den) for c in ints] == program.objective
+    assert len(program.int_rows) == len(program.rows)
+    for (coeffs, _, rhs), (ints, b, scale) in zip(program.rows, program.int_rows):
+        assert type(scale) is int and scale > 0
+        assert all(type(a) is int for a in ints) and type(b) is int
+        assert [Fraction(a, scale) for a in ints] == coeffs
+        assert Fraction(b, scale) == rhs
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    small_lps(),
+    st.lists(inequalities, max_size=3),
+    st.sampled_from(("none", "x", "duals")),
+    st.integers(0, 8),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+    st.sampled_from(("discard", "corrupt")),
+)
+def test_scaled_rows_stay_in_sync_and_verify_reads_no_tableau(
+    lp_data, extra, target, index, delta, damage
+):
+    sense, objective, rows, free = lp_data
+    n = len(objective)
+    program = LinearProgram(sense, objective, rows, free_vars=free)
+    _check_int_rows(program)
+    sol = solve_lp(program)
+    for coeffs, rel, rhs in extra:
+        program.add_row(coeffs[:n], rel, rhs)
+        _check_int_rows(program)
+        sol = solve_lp(program)
+    assume(sol.status == "optimal")
+    if target != "none":
+        values = list(getattr(sol, target))
+        values[index % len(values)] += delta
+        setattr(sol, target, values)
+    verdict = _verdict(sol, program)
+    assert verdict == oracle_verify(sol, program)
+    _damage(program, damage)
+    assert _verdict(sol, program) == verdict
+    _check_int_rows(program)

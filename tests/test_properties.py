@@ -5,7 +5,8 @@ against the independent reference implementations in oracles.py: tree
 depth, best responses under random weights, game values, sabotage patterns,
 certificate complexity, and block sensitivity, plain and fractional.  The
 trees themselves, not only their costs, are compared with the split search
-run without its cuts, so a cut that changed a tie-break would show.
+run without its cuts, so a cut that changed a tie-break would show; best
+responses are also run on split tables prepared once, as a game does.
 Examples are derandomized, so every run draws the same cases.
 """
 
@@ -33,6 +34,7 @@ from querylab import (
     tree_to_obj,
     walk,
 )
+from querylab.det import _split_tables
 
 from oracles import (
     enumerate_strategies,
@@ -155,15 +157,20 @@ def budgeted_instances(draw, functions):
 @PROPERTY
 @given(budgeted_instances(st.one_of(partial_functions(3), sabotaged_functions(2))))
 def test_best_response_tree_matches_uncut_search(instance):
+    # Also with the split tables prepared by the caller, as a game does.
     f, costs, errors, budget = instance
     objective, expected_tree = oracle_best_response(f, costs, errors, budget)
+    tables = _split_tables(f)
     if objective == inf:
         with pytest.raises(RuntimeError):
             best_response(f, costs, errors, budget)
+        with pytest.raises(RuntimeError):
+            best_response(f, costs, errors, budget, tables=tables)
         return
-    tree, value = best_response(f, costs, errors, budget)
-    assert value == objective
-    assert tree_to_obj(tree) == tree_to_obj(expected_tree)
+    for prepared in (None, tables):
+        tree, value = best_response(f, costs, errors, budget, tables=prepared)
+        assert value == objective
+        assert tree_to_obj(tree) == tree_to_obj(expected_tree)
 
 
 @PROPERTY
